@@ -8,11 +8,12 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the CI tier: compile everything, static checks, telemetry
-# lint, full test suite under the race detector.
+# verify is the CI tier: compile everything, static checks (vet and
+# gofmt), telemetry lint, full test suite under the race detector.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 	$(MAKE) lint-telemetry
 	$(MAKE) lint-fault
 	$(GO) test -race ./...

@@ -382,7 +382,7 @@ func TestFaultPeerPartitionHeal(t *testing.T) {
 	for i, a := range fx.agents {
 		other := fx.agents[1-i]
 		a.peers = NewPeers(PeersConfig{Table: a.table,
-			Clients:  []*Client{NewClient(oc, "faulty+" + other.ep)},
+			Clients:  []*Client{NewClient(oc, "faulty+"+other.ep)},
 			Interval: fx.sweep})
 		a.peers.Start()
 		t.Cleanup(a.peers.Stop)

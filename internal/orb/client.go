@@ -93,7 +93,10 @@ func (c *Client) attemptHist(ep string) *telemetry.Histogram {
 // ClientOption configures a Client.
 type ClientOption func(*Client)
 
-// WithByteOrder sets the byte order the client marshals in.
+// WithByteOrder sets the byte order the client marshals in (default
+// cdr.NativeOrder: receivers make right, so a same-architecture pair
+// never swaps and window puts gather-write straight from the caller's
+// slice).
 func WithByteOrder(o cdr.ByteOrder) ClientOption {
 	return func(c *Client) { c.order = o }
 }
@@ -164,7 +167,7 @@ func NewClient(reg *transport.Registry, opts ...ClientOption) *Client {
 	}
 	c := &Client{
 		reg:         reg,
-		order:       cdr.BigEndian,
+		order:       cdr.NativeOrder,
 		health:      newHealthTable(0, 0),
 		stripeWidth: DefaultStripeWidth(),
 		stripes:     make(map[string]*stripe),

@@ -2,6 +2,7 @@ package orb
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -271,5 +272,64 @@ func TestWindowOnPutRunsPerLandedPut(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("onPut did not run for each landed put")
 		}
+	}
+}
+
+// TestDefaultOrderIsNativeZeroCopy pins the zero-copy default: clients
+// and servers marshal in the host's byte order unless told otherwise,
+// so a default window put gather-writes its payload straight from the
+// caller's slice and lands straight in the window, allocating nothing
+// per put beyond small fixed overhead. A default fixed to one order
+// would send every put through a swapped copy on a big-endian or
+// little-endian host alike (over 1 MiB per put here) and fail the
+// bound.
+func TestDefaultOrderIsNativeZeroCopy(t *testing.T) {
+	reg := transport.NewRegistry()
+	reg.Register(transport.NewInproc())
+	srv := NewServer(reg)
+	defer srv.Close()
+	ep, err := srv.Listen("inproc:*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := NewClient(reg)
+	defer cli.Close()
+	if got := cli.Order(); got != cdr.NativeOrder {
+		t.Fatalf("NewClient order = %v, want native %v", got, cdr.NativeOrder)
+	}
+	if got := srv.Order(); got != cdr.NativeOrder {
+		t.Fatalf("NewServer order = %v, want native %v", got, cdr.NativeOrder)
+	}
+
+	const n = 128 << 10
+	payload := make([]float64, n)
+	dst := make([]float64, n)
+	hdr := giop.WindowPutHeader{WindowID: 1, Last: true}
+	put := func() {
+		win, cancel, err := srv.RegisterWindow(1, dst, n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cancel()
+		if _, err := cli.PutWindow(ep, hdr, payload); err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, win)
+		if err := win.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		put() // dial the connection and warm the pools
+	}
+	const rounds = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		put()
+	}
+	runtime.ReadMemStats(&after)
+	if perPut := (after.TotalAlloc - before.TotalAlloc) / rounds; perPut > 4<<10 {
+		t.Fatalf("default-order put of %d doubles allocated %d B per call, want under 4 KiB", n, perPut)
 	}
 }

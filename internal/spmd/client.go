@@ -339,9 +339,10 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 	// broadcasts it (collective part of _spmd_bind). The describe
 	// invocation fails over across every replica endpoint of the
 	// reference (InvokeRef), so a dead first endpoint does not doom
-	// the bind. The broadcast payload is tagged: 1 + describe bytes
-	// on success, 0 + error text on failure, so the peers report the
-	// failed thread and cause instead of a bare "bind failed".
+	// the bind. The broadcast payload is tagged: 1 + the reply's byte
+	// order + the raw describe body on success, 0 + error text on
+	// failure, so the peers report the failed thread and cause instead
+	// of a bare "bind failed".
 	var raw []byte
 	if b.rank == 0 {
 		hdr := giop.RequestHeader{
@@ -363,24 +364,12 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 		if err == nil && rh.Status != giop.ReplyOK {
 			err = fmt.Errorf("%w: describe returned %v", ErrRemote, rh.Status)
 		}
-		// Re-encode big-endian so every thread decodes uniformly.
-		if err == nil && order != cdr.BigEndian {
-			w, derr := decodeDescribeWire(cdr.NewDecoder(order, body))
-			if derr != nil {
-				err = derr
-			} else {
-				e := cdr.NewEncoder(cdr.BigEndian)
-				w.encode(e)
-				body = e.Bytes()
-			}
-		}
-		var payload []byte
 		if err != nil {
-			payload = append([]byte{0}, err.Error()...)
+			raw = append([]byte{0}, err.Error()...)
 		} else {
-			payload = append([]byte{1}, body...)
+			raw = append([]byte{1, byte(order)}, body...)
 		}
-		if _, berr := b.th.Bcast(0, payload); berr != nil {
+		if _, berr := b.th.Bcast(0, raw); berr != nil {
 			b.Close()
 			return nil, berr
 		}
@@ -388,7 +377,6 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 			b.Close()
 			return nil, err
 		}
-		raw = body
 	} else {
 		payload, err := b.th.Bcast(0, nil)
 		if err != nil {
@@ -404,13 +392,13 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 			return nil, fmt.Errorf("%w: bind failed on thread 0: %s",
 				ErrPartialFailure, payload[1:])
 		}
-		raw = payload[1:]
+		raw = payload
 	}
-	if len(raw) == 0 {
+	if len(raw) <= 2 {
 		b.Close()
 		return nil, fmt.Errorf("%w: bind failed on communicator", ErrRemote)
 	}
-	desc, err := decodeDescribeWire(cdr.NewDecoder(cdr.BigEndian, raw))
+	desc, err := decodeDescribeWire(cdr.NewDecoder(cdr.ByteOrder(raw[1]), raw[2:]))
 	if err != nil {
 		b.Close()
 		return nil, err
@@ -921,33 +909,24 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 	}
 	defer p.cancelSinks()
 
-	// The communicator awaits the reply; every thread then learns
-	// the outcome (completion status broadcast of §3.2).
+	// The communicator awaits the reply and decodes it once, in the
+	// reply's own byte order; every thread then learns the outcome and
+	// the scalar results (completion status broadcast of §3.2). The
+	// centralized out-data stays on the communicator for the scatter.
 	var envBytes []byte
+	var outs [][]float64
 	if b.rank == 0 {
 		env, err := p.fut.GetContext(ctx)
+		var scalars []byte
+		if err == nil {
+			scalars, outs, err = decodeReplyBody(env.order, env.body, b.method, p.spec.Args)
+		}
 		e := cdr.NewEncoder(cdr.BigEndian)
+		e.PutBoolean(err == nil)
 		if err != nil {
-			e.PutBoolean(false)
 			e.PutString(err.Error())
 		} else {
-			e.PutBoolean(true)
-			// Re-encode the reply body big-endian if needed so all
-			// threads decode uniformly.
-			body := env.body
-			if env.order != cdr.BigEndian {
-				var rerr error
-				body, rerr = reencodeReplyBody(env.order, env.body)
-				if rerr != nil {
-					e.Reset()
-					e.PutBoolean(false)
-					e.PutString(rerr.Error())
-					body = nil
-				}
-			}
-			if body != nil {
-				e.PutOctetSeq(body)
-			}
+			e.PutOctetSeq(scalars)
 		}
 		envBytes = e.Bytes()
 		if _, err := b.th.Bcast(0, envBytes); err != nil {
@@ -970,7 +949,7 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 		msg, _ := d.String()
 		return fmt.Errorf("%w: %s", ErrRemote, msg)
 	}
-	body, err := d.OctetSeq()
+	scalarEnc, err := d.Encapsulation()
 	if err != nil {
 		return err
 	}
@@ -1012,26 +991,6 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 		}
 	}
 
-	// Reply body layout (from Object.dispatch): scalar encapsulation
-	// then centralized out-args. It was encoded at stream base 8; the
-	// octet-seq embedding shifts offsets, so decode from a copy at
-	// base 8 for alignment correctness.
-	rd := cdr.NewDecoderAt(cdr.BigEndian, body, 8)
-	scalarEnc, err := rd.Encapsulation()
-	if err != nil {
-		return err
-	}
-	nOut, err := rd.ULong()
-	if err != nil {
-		return err
-	}
-	outs := make([][]float64, nOut)
-	for i := range outs {
-		if outs[i], err = rd.DoubleSeq(); err != nil {
-			return err
-		}
-	}
-
 	// Scatter centralized out-args back into the caller's sequences.
 	if b.method == Centralized {
 		idx := 0
@@ -1041,9 +1000,6 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 			}
 			var full []float64
 			if b.rank == 0 {
-				if idx >= len(outs) {
-					return fmt.Errorf("%w: reply missing out argument %d", ErrRemote, idx)
-				}
 				full = outs[idx]
 			}
 			idx++
@@ -1077,31 +1033,45 @@ func (b *Binding) exitBarrier() error {
 	return err
 }
 
-// reencodeReplyBody normalizes a foreign-order reply body to
-// big-endian. Bodies are produced by Object.dispatch at stream base 8:
-// a scalar encapsulation (order-tagged internally, copied verbatim)
-// followed by the centralized out-argument sequences.
-func reencodeReplyBody(order cdr.ByteOrder, body []byte) ([]byte, error) {
+// decodeReplyBody decodes a reply body as Object.dispatch's replyBody
+// writes it (stream base 8, the reply's own byte order): the raw scalar
+// encapsulation, then the centralized out-arguments. Their count and
+// every length are checked against the call here, on the communicator,
+// so a malformed reply fails the status broadcast on every rank rather
+// than a scatter only rank 0 would leave.
+func decodeReplyBody(order cdr.ByteOrder, body []byte, method TransferMethod, args []DistArg) ([]byte, [][]float64, error) {
 	d := cdr.NewDecoderAt(order, body, 8)
-	raw, err := d.OctetSeq()
+	scalars, err := d.OctetSeq()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if len(scalars) == 0 || scalars[0] > 1 {
+		return nil, nil, fmt.Errorf("reply has a malformed scalar encapsulation")
 	}
 	n, err := d.ULong()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	var want []int
+	if method == Centralized {
+		for _, a := range args {
+			if a.Mode == Out || a.Mode == InOut {
+				want = append(want, a.Seq.Len())
+			}
+		}
+	}
+	if int(n) != len(want) {
+		return nil, nil, fmt.Errorf("reply carries %d out arguments, call expects %d", n, len(want))
 	}
 	outs := make([][]float64, n)
 	for i := range outs {
 		if outs[i], err = d.DoubleSeq(); err != nil {
-			return nil, err
+			return nil, nil, err
+		}
+		if len(outs[i]) != want[i] {
+			return nil, nil, fmt.Errorf("reply out argument %d has %d elements, call expects %d",
+				i, len(outs[i]), want[i])
 		}
 	}
-	e := cdr.NewEncoderAt(cdr.BigEndian, 8)
-	e.PutOctetSeq(raw)
-	e.PutULong(n)
-	for _, o := range outs {
-		e.PutDoubleSeq(o)
-	}
-	return e.Bytes(), nil
+	return scalars, outs, nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"pardis/internal/cdr"
 	"pardis/internal/giop"
 	"pardis/internal/orb"
 	"pardis/internal/rts"
@@ -67,11 +66,6 @@ func TestFaultLeaseReclaimsAbandonedTransfer(t *testing.T) {
 	// The dying client: raw control traffic only, declaring a
 	// multi-port inout argument it will never send.
 	cli := orb.NewClient(reg)
-	scal := cdr.NewEncoder(cdr.BigEndian)
-	scal.PutOctet(byte(cdr.BigEndian))
-	inner := cdr.NewEncoderAt(cdr.BigEndian, 1)
-	inner.PutLong(1)
-	scal.PutOctets(inner.Bytes())
 	hdr := giop.RequestHeader{
 		InvocationID:     cli.NewInvocationID(),
 		ResponseExpected: true,
@@ -80,7 +74,7 @@ func TestFaultLeaseReclaimsAbandonedTransfer(t *testing.T) {
 		ThreadRank:       0,
 		ThreadCount:      1,
 	}
-	w := &invocationWire{Method: MultiPort, Scalars: scal.Bytes(),
+	w := &invocationWire{Method: MultiPort, Scalars: scalarEncapsulation(1),
 		Args: []*argWire{{Mode: InOut, Length: 300, ClientCounts: []int{300},
 			ClientEndpoints: []string{"inproc:nowhere"}}}}
 	done := make(chan error, 1)

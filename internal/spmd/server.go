@@ -637,6 +637,16 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 				fmt.Sprintf("arg %d mode %v, declared %v", i, a.Mode, op.Spec.Args[i].Mode))
 			return nil
 		}
+		// Centralized in-data is checked here, before the collective is
+		// engaged: the communicator alone holds it, so a mismatch found
+		// inside dispatch would leave the other ranks waiting in a
+		// scatter rank 0 never enters.
+		if w.Method == Centralized && (a.Mode == In || a.Mode == InOut) &&
+			(a.Data == nil || len(a.Data) != a.Length) {
+			_ = in.ReplySystemException("BAD_PARAM",
+				fmt.Sprintf("arg %d inline data %d of %d elements", i, len(a.Data), a.Length))
+			return nil
+		}
 	}
 	if w.Method == MultiPort && !o.cfg.MultiPort {
 		_ = in.ReplySystemException("BAD_PARAM", "object does not export multi-port endpoints")
@@ -681,7 +691,7 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 	}
 	o.bcastControl(ctrl)
 
-	replyBody, derr := o.dispatch(ctx, ctrl, w, in.Header)
+	replyBody, derr := o.dispatch(ctx, ctrl, w)
 	if derr != nil {
 		// Deadline and lease failures are timeout-class: the client
 		// stopped waiting (or stopped existing), so the verdict must not
@@ -693,7 +703,7 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 		_ = in.ReplySystemException("UNKNOWN", derr.Error())
 		return nil
 	}
-	return in.Reply(giop.ReplyOK, func(e *cdr.Encoder) { e.PutOctets(replyBody) })
+	return in.Reply(giop.ReplyOK, replyBody)
 }
 
 // workerServeOne participates in one collective dispatch.
@@ -709,7 +719,7 @@ func (o *Object) workerServeOne(ctx context.Context) error {
 	if !ctrl.OK {
 		return ErrClosed
 	}
-	_, derr := o.dispatch(ctx, ctrl, nil, giop.RequestHeader{})
+	_, derr := o.dispatch(ctx, ctrl, nil)
 	// Worker-side dispatch errors were already folded into the
 	// collective agreement; the communicator reported them.
 	_ = derr
@@ -724,11 +734,11 @@ func (o *Object) bcastControl(c *control) {
 
 // dispatch is the collective body run by every thread: materialize
 // local argument blocks, invoke the handler, return out-data. Only
-// the communicator (which passes w != nil) builds the reply body. ctx
+// the communicator (which passes w != nil) gets a reply-body writer. ctx
 // is the Serve context: it (or Close) unblocks threads waiting on
 // block transfers whose sender died. (The per-request Incoming.Ctx is
 // useless here — it is cancelled as soon as the request is queued.)
-func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire, hdr giop.RequestHeader) (_ []byte, err error) {
+func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire) (_ func(*cdr.Encoder), err error) {
 	o.served.Add(1)
 	defer func() {
 		if err != nil {
@@ -785,20 +795,15 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 		if ca.Mode == In || ca.Mode == InOut {
 			switch ctrl.Method {
 			case Centralized:
-				// Communicator holds the full data; scatter by the
-				// server layout.
+				// Communicator holds the full data (its length was
+				// checked before the collective); scatter by the server
+				// layout.
 				var full []float64
 				if o.rank == 0 {
 					full = w.Args[i].Data
-					if len(full) != ca.Length {
-						firstErr = fmt.Errorf("%w: inline data %d of %d elements",
-							ErrBadCall, len(full), ca.Length)
-					}
 				}
-				if firstErr == nil {
-					if err := dseq.ScatterDoubles(seq, o.th, 0, full); err != nil {
-						firstErr = err
-					}
+				if err := dseq.ScatterDoubles(seq, o.th, 0, full); err != nil {
+					firstErr = err
 				}
 			case MultiPort:
 				plan, err := dist.Plan(clientLayout, seq.Layout())
@@ -891,19 +896,24 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire,
 	if o.rank != 0 {
 		return nil, nil
 	}
-	// The reply body continues the reply message right after the
-	// 8-octet ReplyHeader, so base the encoder there for correct
-	// alignment. The server ORB marshals replies big-endian (its
-	// default), matching this encoder.
-	e := cdr.NewEncoderAt(cdr.BigEndian, 8)
-	e.PutEncapsulation(cdr.BigEndian, func(ie *cdr.Encoder) {
-		ie.PutOctets(call.reply.Bytes())
-	})
-	e.PutULong(uint32(len(replyArgs)))
-	for _, full := range replyArgs {
-		e.PutDoubleSeq(full)
+	return replyBody(call.reply.Bytes(), replyArgs), nil
+}
+
+// replyBody returns the writer of a reply body, which the ORB runs on
+// its pooled reply encoder right after the ReplyHeader, in the reply's
+// byte order: the scalar results as a big-endian encapsulation (its
+// flag octet makes it order-independent), then the count and contents
+// of the centralized out-arguments.
+func replyBody(scalars []byte, outs [][]float64) func(*cdr.Encoder) {
+	return func(e *cdr.Encoder) {
+		e.PutULong(uint32(1 + len(scalars)))
+		e.PutOctet(byte(cdr.BigEndian))
+		e.PutOctets(scalars)
+		e.PutULong(uint32(len(outs)))
+		for _, full := range outs {
+			e.PutDoubleSeq(full)
+		}
 	}
-	return e.Bytes(), nil
 }
 
 // receiveBlocks collects this thread's share of a multi-port in
