@@ -60,7 +60,7 @@ lint-fault:
 # introduced decoder panic in CI without a dedicated fuzz farm.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@for pkg in ./internal/cdr ./internal/giop ./internal/idl ./internal/ior; do \
+	@for pkg in ./internal/cdr ./internal/giop ./internal/idl ./internal/ior ./internal/orb; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz-smoke: $$pkg $$target ($(FUZZTIME))"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
@@ -121,14 +121,15 @@ bench-dataplane:
 	$(GO) test -run '^$$' -benchtime $(BENCHTIME) -benchmem \
 		-bench 'MultiPortInTransfer' ./internal/spmd/
 
-# bench-peer A/Bs the peer data plane: the one-sided window-put micro
-# against the routed block send at the ORB layer, then the in-transfer
-# sweep run peer-vs-routed over the same server object so the two
-# planes are measured under identical load.
+# bench-peer A/Bs the two wires into the same windows: the one-sided
+# window-put micro against the routed block send at the ORB layer,
+# then the 128Ki-double in-transfer run peer-vs-routed (the routed
+# plane forced by an object that hides its PeerWindows capability).
 bench-peer:
 	$(GO) test -run '^$$' -benchtime $(BENCHTIME) -benchmem \
 		-bench 'SendBlock|WindowPut' ./internal/orb/
-	$(GO) run ./cmd/pardis-bench -dataplane -peer -reps 3 -doubles 131072
+	$(GO) test -run '^$$' -benchtime $(BENCHTIME) -benchmem \
+		-bench 'MultiPortInTransfer/len=128Ki/threads=4/plane=(peer|routed)$$' ./internal/spmd/
 
 # bench-tune A/Bs the self-tuning transport against the static knobs:
 # the tuned in-transfer microbenchmark (allocation ledger for the

@@ -464,8 +464,9 @@ func DecodeLocateReplyHeader(d *cdr.Decoder) (LocateReplyHeader, error) {
 // header"). The element payload follows in CDR.
 type BlockTransferHeader struct {
 	// InvocationID ties the block to its invocation across
-	// connections; it matches the RequestHeader.InvocationID of the
-	// invocation the block belongs to.
+	// connections. The SPMD data plane sets it to
+	// BlockSinkKey(invocation, ArgIndex): the ID of the destination
+	// window the receiver lands the block in.
 	InvocationID uint64
 	// ArgIndex identifies which distributed argument of the
 	// operation this block belongs to.
@@ -530,8 +531,9 @@ func DecodeBlockTransferHeader(d *cdr.Decoder) (BlockTransferHeader, error) {
 // dst[DstOff:DstOff+Count] without allocating a body.
 type WindowPutHeader struct {
 	// WindowID names the pre-registered destination window. The SPMD
-	// data plane uses the block-sink key space (invocation<<8|argIndex)
-	// so a window and its routed fallback address the same transfer.
+	// data plane uses the BlockSinkKey space (invocation<<8|argIndex),
+	// which routed blocks carry as InvocationID, so both wires address
+	// the same window.
 	WindowID uint64
 	// FromThread is the sending SPMD rank, for diagnostics and
 	// partial-failure attribution.
@@ -587,9 +589,9 @@ func DecodeWindowPutHeader(d *cdr.Decoder) (WindowPutHeader, error) {
 	return h, err
 }
 
-// Block sinks are keyed by invocation ID and argument index packed
-// into one uint64 (invocation in the high 56 bits, argument index in
-// the low 8). The packing bounds both fields: invocation IDs above
+// Destination windows are keyed by invocation ID and argument index
+// packed into one uint64 (invocation in the high 56 bits, argument
+// index in the low 8). The packing bounds both fields: invocation IDs above
 // MaxBlockInvocationID would silently lose their high bits to the
 // shift, and argument indexes above MaxBlockArgIndex would collide
 // with the next invocation's key space.
@@ -598,7 +600,7 @@ const (
 	MaxBlockArgIndex     = 0xFF
 )
 
-// BlockSinkKey packs (invocation, argIndex) into the sink-routing key,
+// BlockSinkKey packs (invocation, argIndex) into the window key,
 // validating that neither field overflows its packed width.
 func BlockSinkKey(inv uint64, argIdx uint32) (uint64, error) {
 	if inv > MaxBlockInvocationID {

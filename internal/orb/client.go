@@ -47,7 +47,6 @@ type Client struct {
 
 	invPrefix  uint64
 	invCounter atomic.Uint64
-	blocks     *blockRouter
 
 	// Interned-instrument caches: the telemetry registry's lookup
 	// builds a label key per call, which is too hot for the invoke
@@ -171,12 +170,11 @@ func NewClient(reg *transport.Registry, opts ...ClientOption) *Client {
 		health:      newHealthTable(0, 0),
 		stripeWidth: DefaultStripeWidth(),
 		stripes:     make(map[string]*stripe),
-		blocks:      newBlockRouter(),
 	}
 	var seed [8]byte
 	if _, err := rand.Read(seed[:]); err == nil {
 		// 24 random bits at positions 32-55: invocation ids stay
-		// within giop.MaxBlockInvocationID so block sink keys
+		// within giop.MaxBlockInvocationID so window keys
 		// (inv<<8|arg) never truncate the prefix.
 		c.invPrefix = binary.BigEndian.Uint64(seed[:]) & 0x00FFFFFF_00000000
 	}
@@ -204,25 +202,6 @@ func (c *Client) Health() map[string]EndpointState { return c.health.snapshot() 
 func (c *Client) NewInvocationID() uint64 {
 	return c.invPrefix | (c.invCounter.Add(1) & 0xFFFFFFFF)
 }
-
-// ExpectBlocks registers a sink for block transfers addressed to this
-// client under the given invocation id. The channel must have
-// capacity for the whole expected plan. The returned cancel must be
-// called when the transfer completes.
-func (c *Client) ExpectBlocks(inv uint64, ch chan<- Block) (func(), error) {
-	return c.blocks.register(inv, ch)
-}
-
-// ExpectBlocksFunc registers a callback sink: blocks for inv are
-// handed to fn directly on the delivering connection's read goroutine.
-// fn may run concurrently (one call per delivering connection) and
-// must not block; returning an error tears down that connection.
-func (c *Client) ExpectBlocksFunc(inv uint64, fn func(Block) error) (func(), error) {
-	return c.blocks.registerFunc(inv, fn)
-}
-
-// BlockStats reports the client block router's sink/pending counts.
-func (c *Client) BlockStats() BlockRouterStats { return c.blocks.stats() }
 
 // stripe is one endpoint's small pool of connections. Concurrent
 // invocations spread across its members by outstanding-request depth,
@@ -894,10 +873,10 @@ func (cc *clientConn) shutdown(cause error) {
 
 func (cc *clientConn) readLoop() {
 	// A FrameReader buffers the socket so a header+body pair costs one
-	// raw Read in the common case. Reply/LocateReply/BlockTransfer
-	// bodies transfer ownership out of the loop (never pooled), so
-	// slicing them into reply/Block values is safe; control-frame
-	// bodies are released back to the frame pool here.
+	// raw Read in the common case. Reply/LocateReply bodies transfer
+	// ownership out of the loop (never pooled), so slicing them into
+	// reply values is safe; control-frame bodies are released back to
+	// the frame pool here.
 	fr := giop.NewFrameReader(cc.raw)
 	for {
 		f, err := fr.ReadFrame()
@@ -929,18 +908,6 @@ func (cc *clientConn) readLoop() {
 			if ch, ok := cc.takePending(id); ok {
 				ch <- reply{order: f.Order, body: f.Body}
 			}
-		case giop.MsgBlockTransfer:
-			d := cdr.NewDecoder(f.Order, f.Body)
-			bh, err := giop.DecodeBlockTransferHeader(d)
-			if err != nil {
-				cc.shutdown(fmt.Errorf("%w: bad block header: %v", ErrConnectionLost, err))
-				return
-			}
-			blk := Block{Header: bh, Order: f.Order, Payload: f.Body[d.Pos():]}
-			if err := cc.owner.blocks.deliver(blk); err != nil {
-				cc.shutdown(err)
-				return
-			}
 		case giop.MsgCloseConnection:
 			// Orderly shutdown: the server promises it processed
 			// nothing further, so waiters may re-issue elsewhere.
@@ -952,8 +919,9 @@ func (cc *clientConn) readLoop() {
 			cc.shutdown(ErrConnectionLost)
 			return
 		default:
-			// Requests arriving at a client connection are a
-			// protocol violation.
+			// Requests and block transfers arriving at a client
+			// connection are a protocol violation: a client lands
+			// blocks only through its own Server's windows.
 			f.Release()
 			cc.shutdown(fmt.Errorf("%w: unexpected %v on client connection", ErrConnectionLost, f.Type))
 			return

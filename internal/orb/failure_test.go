@@ -241,18 +241,19 @@ func TestServerDiesMidInvocation(t *testing.T) {
 	}
 }
 
-// TestOversizedBlockSinkBackpressure: more unmatched blocks than the
-// router's buffer kills the connection instead of consuming unbounded
-// memory.
+// TestUnmatchedBlockFloodBounded: more unmatched routed blocks than
+// the pending buffer holds kills the connection instead of consuming
+// unbounded memory.
 func TestUnmatchedBlockFloodBounded(t *testing.T) {
 	r := newBlockRouter()
 	r.pol.MaxBlocks = 8
 	for i := 0; i < 8; i++ {
-		if err := r.deliver(Block{Header: giop.BlockTransferHeader{InvocationID: uint64(i)}}); err != nil {
+		p := routedPut(t, cdr.NativeOrder, giop.BlockTransferHeader{InvocationID: uint64(i)}, nil)
+		if err := r.deliver(p); err != nil {
 			t.Fatalf("deliver %d: %v", i, err)
 		}
 	}
-	err := r.deliver(Block{Header: giop.BlockTransferHeader{InvocationID: 99}})
+	err := r.deliver(routedPut(t, cdr.NativeOrder, giop.BlockTransferHeader{InvocationID: 99}, nil))
 	if !errors.Is(err, ErrTooManyBlocks) {
 		t.Fatalf("flood not bounded: %v", err)
 	}
@@ -260,37 +261,83 @@ func TestUnmatchedBlockFloodBounded(t *testing.T) {
 
 // TestUnmatchedBlockByteBudget: the pending buffer is bounded in bytes
 // as well as blocks — a peer cannot park a handful of maximal frames
-// behind an invocation that never registers a sink.
+// behind a window that never registers.
 func TestUnmatchedBlockByteBudget(t *testing.T) {
 	r := newBlockRouter()
 	r.pol.MaxBytes = 1024
-	payload := make([]byte, 512)
+	vals := make([]float64, 64) // 512 payload bytes
 	for i := 0; i < 2; i++ {
-		blk := Block{Header: giop.BlockTransferHeader{InvocationID: uint64(i)}, Payload: payload}
-		if err := r.deliver(blk); err != nil {
+		h := giop.BlockTransferHeader{InvocationID: uint64(i), Count: 64}
+		if err := r.deliver(routedPut(t, cdr.NativeOrder, h, vals)); err != nil {
 			t.Fatalf("deliver %d: %v", i, err)
 		}
 	}
-	err := r.deliver(Block{Header: giop.BlockTransferHeader{InvocationID: 99}, Payload: payload[:1]})
+	h := giop.BlockTransferHeader{InvocationID: 99, Count: 1}
+	err := r.deliver(routedPut(t, cdr.NativeOrder, h, vals[:1]))
 	if !errors.Is(err, ErrPendingBlockBytes) {
 		t.Fatalf("byte flood not bounded: %v", err)
 	}
 	if st := r.stats(); st.PendingBytes != 1024 {
 		t.Fatalf("PendingBytes = %d, want 1024", st.PendingBytes)
 	}
-	// Registering a sink flushes the buffered blocks and returns their
+	// Registering the window flushes its buffered block and returns the
 	// bytes to the budget.
-	got := 0
-	cancel, err := r.registerFunc(0, func(Block) error { got++; return nil })
+	win, cancel, err := r.registerWindow(0, 0, make([]float64, 64), 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cancel()
-	if got != 1 {
-		t.Fatalf("flushed %d blocks, want 1", got)
+	waitDone(t, win)
+	if err := win.Err(); err != nil || win.Bytes() != 512 {
+		t.Fatalf("flushed %d bytes, err %v; want 512", win.Bytes(), err)
 	}
 	if st := r.stats(); st.PendingBytes != 512 || st.Pending != 1 {
 		t.Fatalf("after flush: %+v", st)
+	}
+}
+
+// TestBlockTrailingBytesRejected: a routed block whose body runs on
+// past its double sequence is a protocol violation. Parked, it would
+// keep the whole body alive while being charged only its payload, so
+// a peer could hold MaxBlocks near-maximal bodies under a budget of a
+// few kilobytes. The connection is torn down and nothing is parked.
+func TestBlockTrailingBytesRejected(t *testing.T) {
+	reg := transport.NewRegistry()
+	reg.Register(transport.NewInproc())
+	srv := NewServer(reg, WithPendingPolicy(PendingPolicy{MaxBlocks: 16, MaxBytes: 4096}))
+	defer srv.Close()
+	ep, err := srv.Listen("inproc:*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := reg.Dial(ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+
+	e := cdr.NewEncoder(cdr.NativeOrder)
+	h := giop.BlockTransferHeader{InvocationID: 7, Count: 1}
+	h.Encode(e)
+	e.PutDoubleSeq([]float64{1})
+	body := append(e.Bytes(), make([]byte, 1<<20)...)
+	if _, err := blockPut(cdr.NativeOrder, body); err == nil {
+		t.Fatal("blockPut accepted a body with a 1 MiB tail")
+	}
+	if err := giop.WriteMessage(raw, cdr.NativeOrder, giop.MsgBlockTransfer, body); err != nil {
+		t.Fatal(err)
+	}
+	// A locate request after the block is answered only if the server
+	// kept the connection.
+	le := cdr.NewEncoder(cdr.NativeOrder)
+	lh := giop.LocateRequestHeader{RequestID: 1, ObjectKey: "x"}
+	lh.Encode(le)
+	_ = giop.WriteMessage(raw, cdr.NativeOrder, giop.MsgLocateRequest, le.Bytes())
+	if _, err := giop.NewFrameReader(raw).ReadFrame(); err == nil {
+		t.Fatal("connection survived a block with trailing bytes")
+	}
+	if st := srv.BlockStats(); st.Pending != 0 || st.PendingBytes != 0 {
+		t.Fatalf("block with trailing bytes parked: %+v", st)
 	}
 }
 
@@ -299,8 +346,8 @@ func TestUnmatchedBlockByteBudget(t *testing.T) {
 func TestPendingSweepReclaimsAbandonedBlocks(t *testing.T) {
 	r := newBlockRouter()
 	r.pol.TTL = 50 * time.Millisecond
-	old := Block{Header: giop.BlockTransferHeader{InvocationID: 1}, Payload: make([]byte, 64)}
-	if err := r.deliver(old); err != nil {
+	h := giop.BlockTransferHeader{InvocationID: 1, Count: 8}
+	if err := r.deliver(routedPut(t, cdr.NativeOrder, h, make([]float64, 8))); err != nil {
 		t.Fatal(err)
 	}
 	if n := r.sweep(time.Now()); n != 0 {
@@ -311,6 +358,51 @@ func TestPendingSweepReclaimsAbandonedBlocks(t *testing.T) {
 	}
 	if st := r.stats(); st.Pending != 0 || st.PendingBytes != 0 {
 		t.Fatalf("after sweep: %+v", st)
+	}
+}
+
+// TestClientRejectsServerSentBlocks: a client lands blocks only
+// through its own Server's windows, so a block transfer written onto a
+// client connection is a protocol violation. The connection fails
+// with ErrConnectionLost, and nothing is parked for the client's
+// lifetime.
+func TestClientRejectsServerSentBlocks(t *testing.T) {
+	reg := transport.NewRegistry()
+	inproc := transport.NewInproc()
+	reg.Register(inproc)
+	l, err := inproc.Listen("blockpush")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		if _, err := giop.NewFrameReader(c).ReadFrame(); err != nil {
+			return
+		}
+		e := cdr.NewEncoder(cdr.NativeOrder)
+		h := giop.BlockTransferHeader{InvocationID: 1, Count: 1024}
+		h.Encode(e)
+		e.PutDoubleSeq(make([]float64, 1024))
+		_ = giop.WriteMessage(c, cdr.NativeOrder, giop.MsgBlockTransfer, e.Bytes())
+		// Hold the connection open: only the client may end it.
+		_, _ = io.Copy(io.Discard, c)
+	}()
+	before := pendingBlockBytes.Value()
+	cli := NewClient(reg)
+	defer cli.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, _, _, err = cli.Invoke(ctx, "inproc:blockpush", requestHeader(cli, "x", "op"), nil)
+	if !errors.Is(err, ErrConnectionLost) {
+		t.Fatalf("err = %v, want ErrConnectionLost", err)
+	}
+	if after := pendingBlockBytes.Value(); after != before {
+		t.Fatalf("pardis_orb_pending_blocks_bytes grew from %d to %d", before, after)
 	}
 }
 

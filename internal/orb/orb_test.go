@@ -281,8 +281,8 @@ func TestDialFailure(t *testing.T) {
 func TestBlockTransferClientToServer(t *testing.T) {
 	cli, srv, ep := newPair(t)
 	inv := cli.NewInvocationID()
-	sink := make(chan Block, 4)
-	cancel, err := srv.ExpectBlocks(inv, sink)
+	dst := make([]float64, 13)
+	win, cancel, err := srv.RegisterWindow(inv, 2, dst, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,33 +291,22 @@ func TestBlockTransferClientToServer(t *testing.T) {
 		InvocationID: inv, ArgIndex: 0, FromThread: 1, ToThread: 2,
 		DstOff: 10, Count: 3, Last: true,
 	}
-	_, err = cli.SendBlock(ep, hdr, func(e *cdr.Encoder) {
+	n, err := cli.SendBlock(ep, hdr, func(e *cdr.Encoder) {
 		e.PutDoubleSeq([]float64{1, 2, 3})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case blk := <-sink:
-		if blk.Header != hdr {
-			t.Fatalf("header = %+v", blk.Header)
-		}
-		d := cdr.NewDecoderAt(blk.Order, blk.Payload, payloadBase(blk))
-		v, err := d.DoubleSeq()
-		if err != nil || len(v) != 3 || v[2] != 3 {
-			t.Fatalf("payload = %v %v", v, err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("block never delivered")
+	waitDone(t, win)
+	if err := win.Err(); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// payloadBase computes the stream offset of a block payload: the CDR
-// position right after the header.
-func payloadBase(b Block) int {
-	e := cdr.NewEncoder(b.Order)
-	b.Header.Encode(e)
-	return e.Len()
+	if dst[10] != 1 || dst[11] != 2 || dst[12] != 3 || dst[9] != 0 {
+		t.Fatalf("window = %v", dst)
+	}
+	if win.Bytes() != 3*8 || n < 3*8 {
+		t.Fatalf("landed %d bytes, sent %d payload bytes", win.Bytes(), n)
+	}
 }
 
 func TestBlockArrivingBeforeSinkIsBuffered(t *testing.T) {
@@ -327,34 +316,50 @@ func TestBlockArrivingBeforeSinkIsBuffered(t *testing.T) {
 	if _, err := cli.SendBlock(ep, hdr, func(e *cdr.Encoder) { e.PutDoubleSeq([]float64{9}) }); err != nil {
 		t.Fatal(err)
 	}
-	// Give the block time to arrive before the sink exists.
-	time.Sleep(20 * time.Millisecond)
-	sink := make(chan Block, 1)
-	cancel, err := srv.ExpectBlocks(inv, sink)
+	// Wait until the block has arrived and parked before the window
+	// exists.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.BlockStats().Pending == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("early block never buffered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	dst := make([]float64, 1)
+	win, cancel, err := srv.RegisterWindow(inv, 0, dst, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cancel()
-	select {
-	case blk := <-sink:
-		if blk.Header.InvocationID != inv {
-			t.Fatalf("wrong invocation: %+v", blk.Header)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("buffered block never flushed")
+	waitDone(t, win)
+	if err := win.Err(); err != nil || dst[0] != 9 {
+		t.Fatalf("buffered block flushed as %v, err %v", dst, err)
+	}
+	if st := srv.BlockStats(); st.Pending != 0 || st.PendingBytes != 0 {
+		t.Fatalf("flushed block still accounted as pending: %+v", st)
 	}
 }
 
+// TestDuplicateSinkRejected: a second registration under a live
+// window's ID is refused, and routed blocks keep landing in the first.
 func TestDuplicateSinkRejected(t *testing.T) {
-	_, srv, _ := newPair(t)
-	ch := make(chan Block, 1)
-	cancel, err := srv.ExpectBlocks(7, ch)
+	cli, srv, ep := newPair(t)
+	dst := make([]float64, 2)
+	win, cancel, err := srv.RegisterWindow(7, 0, dst, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cancel()
-	if _, err := srv.ExpectBlocks(7, ch); err == nil {
-		t.Fatal("duplicate sink accepted")
+	if _, _, err := srv.RegisterWindow(7, 0, make([]float64, 2), 2, nil); err == nil {
+		t.Fatal("duplicate registration accepted")
+	}
+	hdr := giop.BlockTransferHeader{InvocationID: 7, Count: 2, Last: true}
+	if _, err := cli.SendBlock(ep, hdr, func(e *cdr.Encoder) { e.PutDoubleSeq([]float64{4, 5}) }); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, win)
+	if err := win.Err(); err != nil || dst[0] != 4 || dst[1] != 5 {
+		t.Fatalf("first window got %v, err %v", dst, err)
 	}
 }
 

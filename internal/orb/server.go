@@ -82,7 +82,7 @@ func (in *Incoming) ReplyForward(stringifiedIOR string) error {
 
 // Server is the object-adapter side of the ORB: it owns listeners,
 // dispatches requests to handlers by object key, answers locate
-// queries, and routes inbound block transfers.
+// queries, and lands inbound block transfers in registered windows.
 type Server struct {
 	reg   *transport.Registry
 	order cdr.ByteOrder
@@ -178,9 +178,7 @@ func (s *Server) pendingSweepLoop() {
 	for {
 		select {
 		case <-t.C:
-			now := time.Now()
-			s.blocks.sweep(now)
-			s.blocks.sweepWindows(now)
+			s.blocks.sweep(time.Now())
 		case <-s.quit:
 			return
 		}
@@ -218,37 +216,22 @@ func (s *Server) handler(key string) (Handler, bool) {
 	return h, ok
 }
 
-// ExpectBlocks registers a sink for inbound block transfers under an
-// invocation id (in-arguments of multi-port invocations). The channel
-// must have capacity for the whole expected plan.
-func (s *Server) ExpectBlocks(inv uint64, ch chan<- Block) (func(), error) {
-	return s.blocks.register(inv, ch)
-}
-
-// ExpectBlocksFunc registers a callback sink: blocks for inv are
-// handed to fn directly on the delivering connection's read goroutine,
-// so blocks from different senders (different connections) are
-// assembled concurrently. fn must be safe for concurrent use and must
-// not block; returning an error tears down that connection.
-func (s *Server) ExpectBlocksFunc(inv uint64, fn func(Block) error) (func(), error) {
-	return s.blocks.registerFunc(inv, fn)
-}
-
-// RegisterWindow exposes dst as a one-sided destination window:
-// MsgWindowPut frames addressed to id land straight off the delivering
-// connection's read buffer into dst[DstOff:DstOff+Count], bounds
-// checked, until expect elements have arrived (puts that raced the
-// registration are flushed from the pending buffer first). The
-// returned cancel must be called on every exit path — it removes the
-// registration so later strays buffer (and age out) instead of
-// writing into a reclaimed slice.
+// RegisterWindow exposes dst as the destination window id of SPMD rank
+// owner: MsgWindowPut frames addressed to id land straight off the
+// delivering connection's read buffer into dst[DstOff:DstOff+Count],
+// and routed MsgBlockTransfer frames whose InvocationID is id land
+// from their bodies, all bounds checked, until expect elements have
+// arrived (puts that raced the registration are flushed from the
+// pending buffer first). The returned cancel must be called on every
+// exit path — it removes the registration so later strays buffer (and
+// age out) instead of writing into a reclaimed slice.
 // onPut, when non-nil, runs after every landed put on the delivering
 // connection's read goroutine (a liveness hook; it must not block).
-func (s *Server) RegisterWindow(id uint64, dst []float64, expect int64, onPut func()) (*Window, func(), error) {
-	return s.blocks.registerWindow(id, dst, expect, onPut)
+func (s *Server) RegisterWindow(id uint64, owner int, dst []float64, expect int64, onPut func()) (*Window, func(), error) {
+	return s.blocks.registerWindow(id, owner, dst, expect, onPut)
 }
 
-// BlockStats reports the server block router's sink/pending counts.
+// BlockStats reports the server window registry's window/pending counts.
 func (s *Server) BlockStats() BlockRouterStats { return s.blocks.stats() }
 
 // Listen binds an endpoint ("tcp:host:port", port 0 for ephemeral, or
@@ -461,7 +444,7 @@ func (sc *serverConn) readLoop() {
 	// version, which the header decoder needs: 1.0 peers frame request
 	// headers without trace bytes. Control-frame bodies are pooled and
 	// released here once decoded; Request/BlockTransfer bodies escape
-	// to handlers and block sinks, so ownership transfers with them.
+	// to handlers and pending windows, so ownership transfers with them.
 	fr := giop.NewFrameReader(sc.raw)
 	for {
 		fh, err := fr.ReadFrameHeader()
@@ -507,13 +490,11 @@ func (sc *serverConn) readLoop() {
 				cancel()
 			}
 		case giop.MsgBlockTransfer:
-			d := cdr.NewDecoder(order, body)
-			bh, err := giop.DecodeBlockTransferHeader(d)
+			p, err := blockPut(order, body)
 			if err != nil {
 				return
 			}
-			blk := Block{Header: bh, Order: order, Payload: body[d.Pos():]}
-			if err := sc.srv.blocks.deliver(blk); err != nil {
+			if err := sc.srv.blocks.deliver(p); err != nil {
 				return
 			}
 		case giop.MsgCloseConnection, giop.MsgError:
@@ -529,34 +510,34 @@ func (sc *serverConn) readLoop() {
 }
 
 // handleWindowPut lands one MsgWindowPut. Registered window: payload
-// streams wire → destination slice (bounds checked first; a range
-// violation poisons the window, not the connection, and the payload is
-// skimmed to keep the stream framed). Unregistered window: the payload
-// is buffered under the pending budgets until registration, exactly
-// like an early routed block. Only stream-level failures tear the
+// streams wire → destination slice (checked first; a violation
+// poisons the window, not the connection, and the payload is skimmed
+// to keep the stream framed). Unregistered window: the payload is
+// buffered under the pending budgets until registration, exactly like
+// an early routed block. Only stream-level failures tear the
 // connection down.
 func (sc *serverConn) handleWindowPut(fr *giop.FrameReader, fh giop.FrameHeader) error {
 	wh, err := fr.ReadWindowPut(fh)
 	if err != nil {
 		return err
 	}
-	if w, ok := sc.srv.blocks.windowFor(wh.WindowID); ok {
-		if err := w.checkRange(wh); err != nil {
+	p := put{id: wh.WindowID, dstOff: wh.DstOff, count: wh.Count, order: fh.Order}
+	if w, ok := sc.srv.blocks.windowFor(p.id); ok {
+		if err := w.admit(p); err != nil {
 			w.fail(err)
-			return fr.DiscardPayload(int(wh.Count) * 8)
+			return fr.DiscardPayload(int(p.count) * 8)
 		}
-		dst := w.dst[wh.DstOff : int64(wh.DstOff)+int64(wh.Count)]
-		if err := fr.ReadWindowPayload(fh.Order, dst); err != nil {
+		dst := w.dst[p.dstOff : int64(p.dstOff)+int64(p.count)]
+		if err := fr.ReadWindowPayload(p.order, dst); err != nil {
 			return err
 		}
-		w.landed(wh.Count)
+		w.landed(p.count)
 		return nil
 	}
-	payload, err := fr.ReadPayloadBytes(int(wh.Count) * 8)
-	if err != nil {
+	if p.payload, err = fr.ReadPayloadBytes(int(p.count) * 8); err != nil {
 		return err
 	}
-	return sc.srv.blocks.bufferWindowPut(wh, fh.Order, payload)
+	return sc.srv.blocks.deliver(p)
 }
 
 func (sc *serverConn) handleRequest(minor byte, order cdr.ByteOrder, body []byte) error {

@@ -21,6 +21,21 @@ func windowKey(t *testing.T, inv uint64, argIdx uint32) uint64 {
 	return key
 }
 
+// routedPut encodes a routed block frame body exactly as
+// Client.SendBlock does and decodes it the way the server read loop
+// does.
+func routedPut(t testing.TB, order cdr.ByteOrder, h giop.BlockTransferHeader, vals []float64) put {
+	t.Helper()
+	e := cdr.NewEncoder(order)
+	h.Encode(e)
+	e.PutDoubleSeq(vals)
+	p, err := blockPut(order, e.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func waitDone(t *testing.T, w *Window) {
 	t.Helper()
 	select {
@@ -35,7 +50,7 @@ func TestWindowPutEndToEnd(t *testing.T) {
 	const n = 512
 	dst := make([]float64, n)
 	key := windowKey(t, 21, 0)
-	win, cancel, err := srv.RegisterWindow(key, dst, n, nil)
+	win, cancel, err := srv.RegisterWindow(key, 0, dst, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +112,7 @@ func TestWindowPutBeforeRegistrationBuffered(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	dst := make([]float64, n)
-	win, cancel, err := srv.RegisterWindow(key, dst, n, nil)
+	win, cancel, err := srv.RegisterWindow(key, 0, dst, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +134,14 @@ func TestWindowPutBeforeRegistrationBuffered(t *testing.T) {
 // TestWindowRegistrationRaceLandsPut pins the race the read loop cannot
 // avoid: its window lookup misses, the window registers (flushing an
 // empty pending set), and only then does the read loop try to buffer
-// the put. bufferWindowPut must land the put into the now-registered
+// the put. deliver must land the put into the now-registered
 // window instead of parking it forever.
 func TestWindowRegistrationRaceLandsPut(t *testing.T) {
 	_, srv, _ := newPair(t)
 	const n = 16
 	key := windowKey(t, 23, 0)
 	dst := make([]float64, n)
-	win, cancel, err := srv.RegisterWindow(key, dst, n, nil)
+	win, cancel, err := srv.RegisterWindow(key, 0, dst, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +153,8 @@ func TestWindowRegistrationRaceLandsPut(t *testing.T) {
 	}
 	e := cdr.NewEncoder(cdr.NativeOrder)
 	e.PutDoubles(want)
-	h := giop.WindowPutHeader{WindowID: key, FromThread: 0, DstOff: 0, Count: n, Last: true}
-	if err := srv.blocks.bufferWindowPut(h, cdr.NativeOrder, e.Bytes()); err != nil {
+	p := put{id: key, count: n, order: cdr.NativeOrder, payload: e.Bytes()}
+	if err := srv.blocks.deliver(p); err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, win)
@@ -161,7 +176,7 @@ func TestWindowRangeViolationPoisonsWindowNotConnection(t *testing.T) {
 	const n = 32
 	dst := make([]float64, n)
 	key := windowKey(t, 24, 0)
-	win, cancel, err := srv.RegisterWindow(key, dst, n, nil)
+	win, cancel, err := srv.RegisterWindow(key, 0, dst, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +202,12 @@ func TestWindowRangeViolationPoisonsWindowNotConnection(t *testing.T) {
 func TestDuplicateWindowRejected(t *testing.T) {
 	_, srv, _ := newPair(t)
 	key := windowKey(t, 25, 0)
-	_, cancel, err := srv.RegisterWindow(key, make([]float64, 4), 4, nil)
+	_, cancel, err := srv.RegisterWindow(key, 0, make([]float64, 4), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cancel()
-	if _, _, err := srv.RegisterWindow(key, make([]float64, 4), 4, nil); err == nil {
+	if _, _, err := srv.RegisterWindow(key, 0, make([]float64, 4), 4, nil); err == nil {
 		t.Fatal("duplicate window registration accepted")
 	}
 	cancel()
@@ -221,7 +236,7 @@ func TestWindowPutCrossOrder(t *testing.T) {
 	const n = 100_000 // several swap chunks on the cross-order land path
 	dst := make([]float64, n)
 	key := windowKey(t, 26, 0)
-	win, cancel, err := srv.RegisterWindow(key, dst, n, nil)
+	win, cancel, err := srv.RegisterWindow(key, 0, dst, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +266,7 @@ func TestWindowOnPutRunsPerLandedPut(t *testing.T) {
 	dst := make([]float64, 2*n)
 	key := windowKey(t, 27, 0)
 	ch := make(chan struct{}, 4)
-	win, cancel, err := srv.RegisterWindow(key, dst, 2*n, func() {
+	win, cancel, err := srv.RegisterWindow(key, 0, dst, 2*n, func() {
 		ch <- struct{}{}
 	})
 	if err != nil {
@@ -306,7 +321,7 @@ func TestDefaultOrderIsNativeZeroCopy(t *testing.T) {
 	dst := make([]float64, n)
 	hdr := giop.WindowPutHeader{WindowID: 1, Last: true}
 	put := func() {
-		win, cancel, err := srv.RegisterWindow(1, dst, n, nil)
+		win, cancel, err := srv.RegisterWindow(1, 0, dst, n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,5 +346,103 @@ func TestDefaultOrderIsNativeZeroCopy(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perPut := (after.TotalAlloc - before.TotalAlloc) / rounds; perPut > 4<<10 {
 		t.Fatalf("default-order put of %d doubles allocated %d B per call, want under 4 KiB", n, perPut)
+	}
+}
+
+// TestWindowOverCountFails: puts that land more elements than the
+// window expects fail it, even when each is in range — overlapping
+// puts must never complete a window whose other elements were never
+// written.
+func TestWindowOverCountFails(t *testing.T) {
+	cli, srv, ep := newPair(t)
+	const n = 8
+	dst := make([]float64, n)
+	key := windowKey(t, 28, 0)
+	win, cancel, err := srv.RegisterWindow(key, 0, dst, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	blk := []float64{1, 1, 1, 1, 1, 1}
+	for i := 0; i < 2; i++ {
+		h := giop.WindowPutHeader{WindowID: key, FromThread: 0, DstOff: 0}
+		if _, err := cli.PutWindow(ep, h, blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitDone(t, win)
+	if err := win.Err(); err == nil || !strings.Contains(err.Error(), "expected") {
+		t.Fatalf("over-counted window reported %v, dst=%v", err, dst)
+	}
+}
+
+// TestRoutedBlockMisaddressedFailsWindow: a routed block whose ToThread
+// is not the window's owner rank fails the window without writing.
+func TestRoutedBlockMisaddressedFailsWindow(t *testing.T) {
+	cli, srv, ep := newPair(t)
+	dst := make([]float64, 4)
+	key := windowKey(t, 29, 0)
+	win, cancel, err := srv.RegisterWindow(key, 1, dst, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	h := giop.BlockTransferHeader{InvocationID: key, ToThread: 2, Count: 4, Last: true}
+	if _, err := cli.SendBlock(ep, h, func(e *cdr.Encoder) { e.PutDoubleSeq([]float64{1, 2, 3, 4}) }); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, win)
+	if err := win.Err(); err == nil || !strings.Contains(err.Error(), "addressed to thread 2") {
+		t.Fatalf("misaddressed block reported %v", err)
+	}
+	if dst[0] != 0 {
+		t.Fatalf("misaddressed block landed: %v", dst)
+	}
+}
+
+// TestRoutedBlockCountMismatchFailsWindow: a routed block whose CDR
+// sequence length differs from its header Count fails the window — in
+// both directions, and also when the block was parked before the
+// window registered.
+func TestRoutedBlockCountMismatchFailsWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		count uint32
+		vals  []float64
+		early bool
+	}{
+		{"short-seq", 4, []float64{1, 2}, false},
+		{"long-seq", 2, []float64{1, 2, 3, 4}, false},
+		{"parked", 4, []float64{1, 2}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, srv, _ := newPair(t)
+			dst := make([]float64, 8)
+			key := windowKey(t, 30, 0)
+			h := giop.BlockTransferHeader{InvocationID: key, Count: tc.count, Last: true}
+			p := routedPut(t, cdr.NativeOrder, h, tc.vals)
+			if tc.early {
+				if err := srv.blocks.deliver(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			win, cancel, err := srv.RegisterWindow(key, 0, dst, 8, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cancel()
+			if !tc.early {
+				if err := srv.blocks.deliver(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitDone(t, win)
+			if err := win.Err(); err == nil || !strings.Contains(err.Error(), "block count") {
+				t.Fatalf("count mismatch reported %v", err)
+			}
+			if dst[0] != 0 {
+				t.Fatalf("mismatched block landed: %v", dst)
+			}
+		})
 	}
 }

@@ -54,12 +54,6 @@ type BindConfig struct {
 	// into pipelined chunks (0 = spmd.DefaultXferChunkBytes, negative
 	// = chunking disabled).
 	XferChunkBytes int
-	// PeerXfer controls the one-sided peer data plane (0 =
-	// spmd.DefaultPeerXfer, negative = routed blocks only). It takes
-	// effect only when the bound object advertises window-put capable
-	// ports; otherwise the binding falls back to the routed path
-	// (counted in pardis_spmd_peer_fallback_total).
-	PeerXfer int
 	// AutoTune enables the self-tuning transport (0 =
 	// spmd.DefaultAutoTune, negative = off): the binding probes the
 	// path RTT at bind time, feeds every transfer's bytes/seconds into
@@ -94,9 +88,9 @@ type Binding struct {
 
 	stats bindingStats
 
-	// window/chunkElems/peer are the resolved data-plane knobs (see
-	// BindConfig.XferWindow / XferChunkBytes / PeerXfer); peer is true
-	// only after the object's describe advertised the capability.
+	// window/chunkElems are the resolved data-plane knobs (see
+	// BindConfig.XferWindow / XferChunkBytes); peer is true when the
+	// object's describe advertised window-put capable ports.
 	window     int
 	chunkElems int
 	peer       bool
@@ -155,9 +149,9 @@ func (b *Binding) Stats() Stats {
 	}
 }
 
-// BlockStats reports this thread's receive-port block-router state.
-// Between invocations it must be empty — a nonzero sink count means
-// an out-block sink leaked.
+// BlockStats reports this thread's receive-port window registry.
+// Between invocations it must be empty — a nonzero window count means
+// an out-block window leaked.
 func (b *Binding) BlockStats() orb.BlockRouterStats {
 	if b.recv == nil {
 		return orb.BlockRouterStats{}
@@ -414,18 +408,14 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 			ErrBadCall, ref.Key)
 	}
 	b.desc = desc
-	// Peer-data-plane negotiation: the binding goes one-sided only when
-	// the knob allows it AND the object advertised window-put capable
-	// ports. Either miss is a counted fallback onto the routed path,
-	// which stays byte-identical to the pre-peer wire.
+	// Peer-data-plane negotiation: the binding goes one-sided when the
+	// object advertised window-put capable ports. A 1.0 object does not,
+	// and is served over the routed wire, which stays byte-identical to
+	// the pre-peer wire (a counted fallback).
 	if cfg.Method == MultiPort {
-		switch {
-		case !resolvePeer(cfg.PeerXfer):
-			peerFallbackDisabled.Inc()
-		case !desc.PeerWindows:
+		b.peer = desc.PeerWindows
+		if !b.peer {
 			peerFallbackEndpoint.Inc()
-		default:
-			b.peer = true
 		}
 	}
 	return b, nil
@@ -531,33 +521,13 @@ type replyEnvelope struct {
 }
 
 // outCollector owns the concurrent assembly of one argument's
-// multi-port out-blocks on this client thread. Routed: server threads
-// decode straight into the sequence's local block via the assembler,
-// on their delivering connections' read goroutines. Peer: the local
-// block is registered as a one-sided window and the server's puts land
-// straight off the read buffers — exactly one of asm/win is set.
+// multi-port out-blocks on this client thread: the sequence's local
+// block is registered as a window, and the server threads' blocks land
+// in it on their delivering connections' read goroutines, whichever
+// wire they arrive on.
 type outCollector struct {
-	arg    int
-	asm    *blockAssembler
 	win    *orb.Window
 	cancel func()
-	seq    *dseq.Doubles
-}
-
-// wait blocks until the argument's out-transfer completes or fails.
-func (c *outCollector) wait(ctx contextDoner) error {
-	if c.win != nil {
-		return waitWindow(c.win, ctx, nil, nil)
-	}
-	return c.asm.wait(ctx, nil, nil)
-}
-
-// bytes is the payload volume received for this argument.
-func (c *outCollector) bytes() uint64 {
-	if c.win != nil {
-		return uint64(c.win.Bytes())
-	}
-	return c.asm.nbytes.Load()
 }
 
 // start validates the call collectively, ships in-arguments, issues
@@ -678,7 +648,7 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 		serverLayouts[i] = sl
 	}
 
-	// Register out-block sinks before anything is sent.
+	// Register out-block windows before anything is sent.
 	if b.method == MultiPort {
 		for i, a := range spec.Args {
 			if a.Mode != Out && a.Mode != InOut {
@@ -698,25 +668,12 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 				p.cancelSinks()
 				return nil, err
 			}
-			col := &outCollector{arg: i, seq: a.Seq}
-			if b.peer {
-				win, cancel, err := b.recv.RegisterWindow(key, a.Seq.LocalData(), int64(expect), nil)
-				if err != nil {
-					p.cancelSinks()
-					return nil, err
-				}
-				col.win = win
-				col.cancel = cancel
-			} else {
-				col.asm = newBlockAssembler(b.rank, a.Seq.LocalData(), expect)
-				cancel, err := b.recv.ExpectBlocksFunc(key, col.asm.accept)
-				if err != nil {
-					p.cancelSinks()
-					return nil, err
-				}
-				col.cancel = cancel
+			win, cancel, err := b.recv.RegisterWindow(key, b.rank, a.Seq.LocalData(), int64(expect), nil)
+			if err != nil {
+				p.cancelSinks()
+				return nil, err
 			}
-			p.outSinks = append(p.outSinks, col)
+			p.outSinks = append(p.outSinks, &outCollector{win: win, cancel: cancel})
 		}
 	}
 
@@ -842,25 +799,21 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 	return p, nil
 }
 
-// sendBlocks ships this client thread's share of an in transfer,
-// chunked and windowed (see sendPlanBlocks); a peer binding ships the
-// blocks as one-sided puts into the windows the server's ranks
-// registered (sendPlanPuts).
+// sendBlocks ships this client thread's share of an in transfer into
+// the windows the server's ranks registered, chunked and windowed (see
+// sendPlan), as one-sided puts on a peer binding and as routed blocks
+// otherwise.
 func (b *Binding) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, seq *dseq.Doubles) error {
 	window, chunkElems := b.window, b.chunkElems
 	if b.autoTune {
 		window, chunkElems = tunedKnobs(b.pathKey, window, chunkElems)
 	}
-	t := time.Now()
-	var n uint64
-	var err error
-	if b.peer {
-		n, err = sendPlanPuts(b.oc, inv, argIdx, b.rank, plan, seq.LocalData(),
-			b.ref.ThreadEndpoint, window, chunkElems)
-	} else {
-		n, err = sendPlanBlocks(b.oc, inv, argIdx, b.rank, plan, seq.LocalData(),
-			b.ref.ThreadEndpoint, window, chunkElems)
+	send, err := chunksFor(b.oc, b.peer, inv, argIdx, b.rank, b.ref.ThreadEndpoint)
+	if err != nil {
+		return err
 	}
+	t := time.Now()
+	n, err := sendPlan(b.rank, plan, seq.LocalData(), window, chunkElems, send)
 	elapsed := time.Since(t)
 	b.stats.bytesOut.Add(n)
 	b.xferIn.ObserveDuration(elapsed)
@@ -956,17 +909,17 @@ func (p *Pending) Wait(ctx context.Context) (err error) {
 
 	// Collect multi-port out-blocks destined for this thread. The
 	// server completed successfully, so every planned block was (or
-	// is being) sent; blocks were (and still are) decoded straight
-	// into the sequences' local data by the per-argument assemblers —
+	// is being) sent; blocks were (and still are) landed straight
+	// into the sequences' local data by the per-argument windows —
 	// this loop only awaits completion.
 	var localErr error
 	if len(p.outSinks) > 0 {
 		t := time.Now()
 		for _, col := range p.outSinks {
 			if localErr == nil {
-				localErr = col.wait(ctx)
+				localErr = waitWindow(col.win, ctx, nil, nil)
 			}
-			b.stats.bytesIn.Add(col.bytes())
+			b.stats.bytesIn.Add(uint64(col.win.Bytes()))
 			col.cancel()
 			col.cancel = nil
 		}

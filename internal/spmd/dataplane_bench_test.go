@@ -3,8 +3,8 @@ package spmd
 // Figure-4-style data-plane benchmarks: wall clock and allocations
 // for streaming a block-distributed dsequence<double> into a multi-
 // port SPMD object. Self-contained (no test-harness helpers beyond
-// newReg) so the file can be dropped into an older tree unchanged for
-// A/B comparison.
+// newReg and the routedOnly hook) so the file can be dropped into a
+// tree that has the hook unchanged for A/B comparison.
 
 import (
 	"context"
@@ -39,7 +39,7 @@ type benchObject struct {
 	close func()
 }
 
-func startBenchObject(b *testing.B, reg *transport.Registry, m int) *benchObject {
+func startBenchObject(b *testing.B, reg *transport.Registry, m int, routedOnly bool) *benchObject {
 	b.Helper()
 	w := mp.MustWorld(m)
 	refs := make(chan *ior.Ref, 1)
@@ -59,6 +59,7 @@ func startBenchObject(b *testing.B, reg *transport.Registry, m int) *benchObject
 				TypeID:         "IDL:bench_object:1.0",
 				MultiPort:      true,
 				Ops:            benchSinkOps(th),
+				routedOnly:     routedOnly,
 			})
 			if err != nil {
 				b.Error(err)
@@ -87,9 +88,9 @@ func startBenchObject(b *testing.B, reg *transport.Registry, m int) *benchObject
 	}}
 }
 
-func benchInTransfer(b *testing.B, length, threads, peerXfer, autoTune int) {
+func benchInTransfer(b *testing.B, length, threads int, routedOnly bool, autoTune int) {
 	reg := newReg()
-	obj := startBenchObject(b, reg, threads)
+	obj := startBenchObject(b, reg, threads, routedOnly)
 	defer obj.close()
 	b.SetBytes(int64(length) * 8)
 	b.ResetTimer()
@@ -100,7 +101,6 @@ func benchInTransfer(b *testing.B, length, threads, peerXfer, autoTune int) {
 			Registry:       reg,
 			Method:         MultiPort,
 			ListenEndpoint: "inproc:*",
-			PeerXfer:       peerXfer,
 			AutoTune:       autoTune,
 		}, obj.ref)
 		if err != nil {
@@ -131,23 +131,24 @@ func benchInTransfer(b *testing.B, length, threads, peerXfer, autoTune int) {
 	}
 }
 
-// The plane dimension A/Bs the data planes over the same server
-// object: peer (one-sided window puts, the default) against routed
-// (block frames through the sink router, forced by PeerXfer=-1 on the
-// binding), plus tuned (the peer plane with the self-tuning transport
-// re-resolving chunk/window per transfer, AutoTune=1 on the binding),
-// so the allocation ledger covers the tuner's hot path too.
+// The plane dimension A/Bs the two wires into the same windows: peer
+// (one-sided window puts, the default) against routed (block frames
+// landed from their bodies, forced by hiding the object's PeerWindows
+// capability as a 1.0 object would), plus tuned (the peer plane with
+// the self-tuning transport re-resolving chunk/window per transfer,
+// AutoTune=1 on the binding), so the allocation ledger covers the
+// tuner's hot path too.
 func BenchmarkMultiPortInTransfer(b *testing.B) {
 	planes := []struct {
-		name     string
-		peer     int
-		autoTune int
-	}{{"peer", 0, 0}, {"routed", -1, 0}, {"tuned", 0, 1}}
+		name       string
+		routedOnly bool
+		autoTune   int
+	}{{"peer", false, 0}, {"routed", true, 0}, {"tuned", false, 1}}
 	for _, length := range []int{16 << 10, 128 << 10, 1 << 20} {
 		for _, threads := range []int{1, 4} {
 			for _, plane := range planes {
 				b.Run(fmt.Sprintf("len=%dKi/threads=%d/plane=%s", length>>10, threads, plane.name),
-					func(b *testing.B) { benchInTransfer(b, length, threads, plane.peer, plane.autoTune) })
+					func(b *testing.B) { benchInTransfer(b, length, threads, plane.routedOnly, plane.autoTune) })
 			}
 		}
 	}

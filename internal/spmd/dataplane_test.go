@@ -64,7 +64,8 @@ func legacySendBlocks(oc *recordingSender, inv uint64, argIdx uint32, rank int,
 }
 
 // TestSerialWireIdentical pins the serial-semantics guarantee: with
-// window=1 and chunking disabled, sendPlanBlocks produces exactly the
+// window=1 and chunking disabled, sendPlan over the routed wire
+// produces exactly the
 // frames (order, headers, payload bytes) the legacy serial loop did.
 func TestSerialWireIdentical(t *testing.T) {
 	// Misaligned layouts so several transfers cross rank boundaries.
@@ -82,6 +83,10 @@ func TestSerialWireIdentical(t *testing.T) {
 	}
 	epFor := func(to int) string { return fmt.Sprintf("inproc:t%d", to) }
 	const inv, argIdx = uint64(0xABCDE), uint32(1)
+	key, err := giop.BlockSinkKey(inv, argIdx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for rank := 0; rank < 3; rank++ {
 		local := make([]float64, src.Count(rank))
 		for i := range local {
@@ -90,7 +95,7 @@ func TestSerialWireIdentical(t *testing.T) {
 		legacy := &recordingSender{}
 		legacySendBlocks(legacy, inv, argIdx, rank, plan, local, epFor)
 		got := &recordingSender{}
-		if _, err := sendPlanBlocks(got, inv, argIdx, rank, plan, local, epFor, 1, 0); err != nil {
+		if _, err := sendPlan(rank, plan, local, 1, 0, blockChunks(got, key, argIdx, rank, epFor)); err != nil {
 			t.Fatal(err)
 		}
 		if len(got.frames) != len(legacy.frames) {
@@ -130,8 +135,8 @@ func TestChunkedSendCoversPlan(t *testing.T) {
 	// Note: recordingSender is not safe for concurrent use, so pin
 	// window=1 here; chunking is what is under test.
 	const chunkElems = 128
-	n, err := sendPlanBlocks(rec, 7, 0, 0, plan, local,
-		func(int) string { return "inproc:x" }, 1, chunkElems)
+	n, err := sendPlan(0, plan, local, 1, chunkElems,
+		blockChunks(rec, 7<<8, 0, 0, func(int) string { return "inproc:x" }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +171,8 @@ func TestChunkedSendCoversPlan(t *testing.T) {
 }
 
 // TestCrossOrderBlockAssembly: a little-endian client and a
-// big-endian client ship interleaved chunks of one argument to the
-// same sink; the assembler must decode both orders straight into the
+// big-endian client ship interleaved routed chunks of one argument to
+// the same window, which must land both orders straight into the
 // destination, out of order, from concurrent connections.
 func TestCrossOrderBlockAssembly(t *testing.T) {
 	reg := newReg()
@@ -180,12 +185,11 @@ func TestCrossOrderBlockAssembly(t *testing.T) {
 
 	const n = 1024
 	local := make([]float64, n)
-	asm := newBlockAssembler(0, local, n)
 	key, err := giop.BlockSinkKey(99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancel, err := srv.ExpectBlocksFunc(key, asm.accept)
+	win, cancel, err := srv.RegisterWindow(key, 0, local, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +221,7 @@ func TestCrossOrderBlockAssembly(t *testing.T) {
 
 	ctx, cancelCtx := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancelCtx()
-	if err := asm.wait(ctx, nil, nil); err != nil {
+	if err := waitWindow(win, ctx, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
@@ -226,8 +230,8 @@ func TestCrossOrderBlockAssembly(t *testing.T) {
 			t.Fatalf("element %d = %v, want %v", i, local[i], want[i])
 		}
 	}
-	if st := srv.BlockStats(); st.Sinks != 0 {
-		t.Fatalf("sink leak: %+v", st)
+	if st := srv.BlockStats(); st.Windows != 0 {
+		t.Fatalf("window leak: %+v", st)
 	}
 }
 
@@ -259,8 +263,8 @@ func TestChunkedTransferEndToEnd(t *testing.T) {
 		if err := invokeDiffusion(b, th, 4000, 2); err != nil {
 			return err
 		}
-		if st := b.BlockStats(); st.Sinks != 0 {
-			return fmt.Errorf("rank %d: sink leak: %+v", th.Rank(), st)
+		if st := b.BlockStats(); st.Windows != 0 {
+			return fmt.Errorf("rank %d: window leak: %+v", th.Rank(), st)
 		}
 		return nil
 	})
@@ -286,10 +290,11 @@ func (c cutDialTransport) Dial(a string) (transport.Conn, error) { return c.dial
 // TestFaultCutBlockStream cuts one of several concurrent in-block
 // streams mid-transfer: the cut rank sees its transport error, every
 // other client rank fails the same invocation with ErrPartialFailure,
-// no thread deadlocks, and neither side leaks a block sink. Pinned to
-// the routed data plane (PeerXfer -1 on both sides) so the routed path
-// keeps fault coverage now that peer windows are the default; the peer
-// twin is TestFaultCutPeerWindowStream.
+// no thread deadlocks, and neither side leaks a window. Pinned to the
+// routed wire (the object hides its PeerWindows capability, as a 1.0
+// object would) so the routed path keeps fault coverage now that peer
+// windows are the default; the peer twin is
+// TestFaultCutPeerWindowStream.
 func TestFaultCutBlockStream(t *testing.T) {
 	inproc := transport.NewInproc()
 	okReg := transport.NewRegistry()
@@ -302,9 +307,9 @@ func TestFaultCutBlockStream(t *testing.T) {
 
 	// AutoTune rides along so the chaos sweep covers the self-tuning
 	// transport under faults: a failed send must not feed the tuner, and
-	// tuning must not change the failure verdict or leak sinks.
+	// tuning must not change the failure verdict or leak windows.
 	obj := startObjectCfg(t, okReg, 3, true, diffusionOps, func(cfg *ObjectConfig) {
-		cfg.PeerXfer = -1
+		cfg.routedOnly = true
 		cfg.AutoTune = 1
 	})
 
@@ -316,7 +321,7 @@ func TestFaultCutBlockStream(t *testing.T) {
 		}
 		b, err := Bind(context.Background(), BindConfig{
 			Thread: th, Registry: reg, Method: MultiPort, ListenEndpoint: "inproc:*",
-			PeerXfer: -1, AutoTune: 1,
+			AutoTune: 1,
 		}, obj.ref)
 		if err != nil {
 			return err
@@ -353,8 +358,8 @@ func TestFaultCutBlockStream(t *testing.T) {
 				return fmt.Errorf("rank %d: error does not name the cut rank: %v", th.Rank(), ierr)
 			}
 		}
-		if st := b.BlockStats(); st.Sinks != 0 {
-			return fmt.Errorf("rank %d: client sink leak after failure: %+v", th.Rank(), st)
+		if st := b.BlockStats(); st.Windows != 0 {
+			return fmt.Errorf("rank %d: client window leak after failure: %+v", th.Rank(), st)
 		}
 		return nil
 	})
@@ -377,8 +382,8 @@ func TestFaultCutBlockStream(t *testing.T) {
 		if o == nil {
 			continue
 		}
-		if st := o.BlockStats(); st.Sinks != 0 {
-			t.Fatalf("server thread %d leaked block sinks: %+v", rank, st)
+		if st := o.BlockStats(); st.Windows != 0 {
+			t.Fatalf("server thread %d leaked windows: %+v", rank, st)
 		}
 	}
 	if st := cut.Stats(); st.CutConns == 0 {

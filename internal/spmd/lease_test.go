@@ -98,23 +98,23 @@ func TestFaultLeaseReclaimsAbandonedTransfer(t *testing.T) {
 	}
 	cli.Close()
 
-	// Every rank's block sink and lease must be reclaimed.
+	// Every rank's window and lease must be reclaimed.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		sinks, leases := 0, 0
+		windows, leases := 0, 0
 		for _, o := range obj.threadObjects() {
 			if o == nil {
 				continue
 			}
 			st := o.BlockStats()
-			sinks += st.Sinks + st.Pending
+			windows += st.Windows + st.Pending
 			leases += o.Leases()
 		}
-		if sinks == 0 && leases == 0 {
+		if windows == 0 && leases == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("rank state not reclaimed: %d sinks/pending, %d leases", sinks, leases)
+			t.Fatalf("rank state not reclaimed: %d windows/pending, %d leases", windows, leases)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

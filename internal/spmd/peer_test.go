@@ -32,7 +32,7 @@ func TestPeerTransferEndToEnd(t *testing.T) {
 		if err := invokeDiffusion(b, th, 600, 2); err != nil {
 			return err
 		}
-		if st := b.BlockStats(); st.Windows != 0 || st.Sinks != 0 {
+		if st := b.BlockStats(); st.Windows != 0 {
 			return fmt.Errorf("rank %d: client leak: %+v", th.Rank(), st)
 		}
 		return nil
@@ -51,14 +51,14 @@ func TestPeerTransferEndToEnd(t *testing.T) {
 }
 
 // TestPeerFallbackToRoutedServer binds a peer-capable client to an
-// object exported with the peer plane disabled: the describe does not
-// advertise the capability, the client must fall back to the routed
-// path (counted under reason="endpoint"), and the invocation still
-// succeeds.
+// object that hides its PeerWindows capability, as a 1.0 object does:
+// the describe does not advertise it, the client must fall back to the
+// routed wire (counted under reason="endpoint"), and the invocation
+// still succeeds.
 func TestPeerFallbackToRoutedServer(t *testing.T) {
 	reg := newReg()
 	obj := startObjectCfg(t, reg, 3, true, diffusionOps, func(cfg *ObjectConfig) {
-		cfg.PeerXfer = -1
+		cfg.routedOnly = true
 	})
 	defer obj.close()
 	before := peerFallbackEndpoint.Value()
@@ -70,37 +70,6 @@ func TestPeerFallbackToRoutedServer(t *testing.T) {
 	})
 	if got := peerFallbackEndpoint.Value(); got == before {
 		t.Fatal("endpoint fallback not counted")
-	}
-}
-
-// TestPeerDisabledByClientKnob forces the routed path from the client
-// side: the knob wins over a capable endpoint and is counted under
-// reason="disabled".
-func TestPeerDisabledByClientKnob(t *testing.T) {
-	reg := newReg()
-	obj := startObject(t, reg, 3, true, diffusionOps)
-	defer obj.close()
-	before := peerFallbackDisabled.Value()
-	err := mp.Run(2, func(proc *mp.Proc) error {
-		th := rts.NewMessagePassing(proc)
-		b, err := Bind(context.Background(), BindConfig{
-			Thread: th, Registry: reg, Method: MultiPort,
-			ListenEndpoint: "inproc:*", PeerXfer: -1,
-		}, obj.ref)
-		if err != nil {
-			return err
-		}
-		defer b.Close()
-		if b.peer {
-			return fmt.Errorf("knob did not disable peer windows")
-		}
-		return invokeDiffusion(b, th, 600, 1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := peerFallbackDisabled.Value(); got == before {
-		t.Fatal("disabled fallback not counted")
 	}
 }
 
@@ -241,7 +210,7 @@ func TestFaultCutPeerWindowStream(t *testing.T) {
 				return fmt.Errorf("rank %d: error does not name the cut rank: %v", th.Rank(), ierr)
 			}
 		}
-		if st := b.BlockStats(); st.Windows != 0 || st.Sinks != 0 {
+		if st := b.BlockStats(); st.Windows != 0 {
 			return fmt.Errorf("rank %d: client leak after failure: %+v", th.Rank(), st)
 		}
 		return nil
@@ -265,7 +234,7 @@ func TestFaultCutPeerWindowStream(t *testing.T) {
 		if o == nil || o.srv == nil {
 			continue
 		}
-		if st := o.BlockStats(); st.Windows != 0 || st.Sinks != 0 {
+		if st := o.BlockStats(); st.Windows != 0 {
 			t.Fatalf("server thread %d leaked after cut: %+v", rank, st)
 		}
 	}

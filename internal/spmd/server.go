@@ -84,13 +84,6 @@ type ObjectConfig struct {
 	// split into pipelined chunks (0 = spmd.DefaultXferChunkBytes,
 	// negative = chunking disabled).
 	XferChunkBytes int
-	// PeerXfer controls the one-sided peer data plane (0 =
-	// spmd.DefaultPeerXfer, negative = routed blocks only). When
-	// enabled and MultiPort, the object advertises window-put capable
-	// ports in its describe reply and honors peer invocations with
-	// registered windows and direct out-puts. All threads must pass
-	// the same value.
-	PeerXfer int
 	// AutoTune enables the self-tuning transport for out-argument
 	// transfers (0 = spmd.DefaultAutoTune, negative = off): each rank
 	// feeds its out-transfer bytes/seconds into the process-wide tuner
@@ -101,11 +94,17 @@ type ObjectConfig struct {
 	// wins over the tuner's stripe recommendation.
 	AutoTune int
 	// LeaseTTL is how long a client's server-side lease survives
-	// without traffic before its rank-side state (block sinks,
+	// without traffic before its rank-side state (windows,
 	// in-dispatch waits) is reclaimed. 0 = DefaultLeaseTTL, negative =
 	// leases disabled (the pre-lease behavior: waits are bounded only
 	// by the Serve context and Close).
 	LeaseTTL time.Duration
+
+	// routedOnly hides the PeerWindows capability from the describe
+	// reply, so clients ship in-blocks over the routed wire and the
+	// object ships out-blocks the same way, as against a 1.0 object.
+	// In-package tests and benchmarks set it to cover the routed wire.
+	routedOnly bool
 }
 
 // Op couples an operation's signature with its implementation.
@@ -131,10 +130,11 @@ type Object struct {
 	served atomic.Uint64
 	failed atomic.Uint64
 
-	// window/chunkElems/peer are the resolved data-plane knobs (see
-	// ObjectConfig.XferWindow / XferChunkBytes / PeerXfer); with
-	// autoTune on, sendBlocks re-resolves window/chunkElems from the
-	// shared tuner per transfer.
+	// window/chunkElems are the resolved data-plane knobs (see
+	// ObjectConfig.XferWindow / XferChunkBytes); with autoTune on,
+	// sendBlocks re-resolves them from the shared tuner per transfer.
+	// peer advertises window-put capable ports (every multi-port
+	// object, unless routedOnly).
 	window     int
 	chunkElems int
 	peer       bool
@@ -144,7 +144,7 @@ type Object struct {
 	// histogram (rank is fixed for the object's lifetime).
 	rankLag *telemetry.Histogram
 	// xferIn/xferOut time this rank's transfer phases (in-argument
-	// assembly / out-argument fan-out).
+	// landing / out-argument fan-out).
 	xferIn, xferOut *telemetry.Histogram
 }
 
@@ -175,9 +175,9 @@ func (o *Object) Stats() ObjectStats {
 	return ObjectStats{Served: o.served.Load(), Failed: o.failed.Load()}
 }
 
-// BlockStats reports this thread's block-router state (registered
-// sinks and buffered early blocks). After the serve loops exit it
-// must be empty — a nonzero sink count is a leak.
+// BlockStats reports this thread's window registry (registered
+// windows and buffered early blocks). After the serve loops exit it
+// must be empty — a nonzero window count is a leak.
 func (o *Object) BlockStats() orb.BlockRouterStats {
 	if o.srv == nil {
 		return orb.BlockRouterStats{}
@@ -214,7 +214,7 @@ func Export(cfg ObjectConfig) (*Object, error) {
 	}
 	o.window = resolveWindow(cfg.XferWindow)
 	o.chunkElems = resolveChunkElems(cfg.XferChunkBytes)
-	o.peer = cfg.MultiPort && resolvePeer(cfg.PeerXfer)
+	o.peer = cfg.MultiPort && !cfg.routedOnly
 	o.autoTune = resolveAutoTune(cfg.AutoTune)
 	if cfg.LeaseTTL >= 0 {
 		ttl := cfg.LeaseTTL
@@ -441,8 +441,8 @@ func (o *Object) replyDescribe(in *orb.Incoming) {
 
 // Close shuts the object down. Serve loops return ErrClosed on all
 // threads once in-flight requests complete. Collective. Every rank
-// closes its own closed channel so worker threads blocked in block
-// assembly (a sender died mid-transfer) unwind instead of waiting for
+// closes its own closed channel so worker threads blocked in a window
+// wait (a sender died mid-transfer) unwind instead of waiting for
 // blocks that will never arrive.
 func (o *Object) Close() {
 	select {
@@ -466,11 +466,11 @@ type control struct {
 	// DeadlineMicros is the client deadline budget still remaining when
 	// the communicator broadcast the control record (0 = none). Every
 	// rank rebases it onto its own clock and bounds its dispatch — in
-	// particular the block-assembly waits — by it.
+	// particular the window waits — by it.
 	DeadlineMicros uint64
 	// PeerWindows means the client negotiated the one-sided peer data
-	// plane for this invocation: every rank registers windows for its
-	// in-argument shares and ships out-argument blocks as window puts.
+	// plane for this invocation: every rank ships its out-argument
+	// blocks as window puts instead of routed blocks.
 	PeerWindows bool
 	Scalars     []byte
 	Args        []controlArg
@@ -754,7 +754,7 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire)
 
 	// Bound the dispatch by the propagated deadline, rebased onto this
 	// rank's clock: a client that stopped waiting must not strand the
-	// collective in a block-assembly wait past the budget it asked for.
+	// collective in a window wait past the budget it asked for.
 	if ctrl.DeadlineMicros > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx,
@@ -811,7 +811,7 @@ func (o *Object) dispatch(ctx context.Context, ctrl *control, w *invocationWire)
 					firstErr = err
 					break
 				}
-				if err := o.receiveBlocks(ctx, ctrl.Inv, uint32(i), plan, seq, ctrl.PeerWindows); err != nil {
+				if err := o.receiveBlocks(ctx, ctrl.Inv, uint32(i), plan, seq); err != nil {
 					firstErr = err
 				}
 			}
@@ -917,16 +917,15 @@ func replyBody(scalars []byte, outs [][]float64) func(*cdr.Encoder) {
 }
 
 // receiveBlocks collects this thread's share of a multi-port in
-// transfer into seq's local block. Routed: each arriving block is
-// decoded straight into the destination on its delivering connection's
-// read goroutine (blocks from different senders assemble concurrently
-// and out of order), while this thread waits for the element count to
-// reach the plan's total. Peer: the destination is registered as a
-// one-sided window and the sender's puts land straight off the read
-// buffer — same bounds checks, same element-counted completion, no
-// decode step at all. ctx (or object close) bounds the wait so a dead
-// sender cannot strand the dispatch.
-func (o *Object) receiveBlocks(ctx context.Context, inv uint64, argIdx uint32, plan []dist.Transfer, seq *dseq.Doubles, peer bool) error {
+// transfer into seq's local block, registered as a window: each
+// arriving block — a window put landed straight off the read buffer,
+// or a routed block landed from its frame body — is checked and
+// written in place on its delivering connection's read goroutine
+// (blocks from different senders land concurrently and out of order),
+// while this thread waits for the element count to reach the plan's
+// total. ctx (or object close) bounds the wait so a dead sender cannot
+// strand the dispatch.
+func (o *Object) receiveBlocks(ctx context.Context, inv uint64, argIdx uint32, plan []dist.Transfer, seq *dseq.Doubles) error {
 	expect := planElemsTo(plan, o.rank)
 	if expect == 0 {
 		return nil
@@ -945,48 +944,26 @@ func (o *Object) receiveBlocks(ctx context.Context, inv uint64, argIdx uint32, p
 	// cancel) instead of stranding the collective until the Serve
 	// context ends.
 	var expired <-chan struct{}
-	var l *lease
+	var onPut func()
 	if o.leases != nil {
-		l = o.leases.acquire(leaseClient(inv))
+		l := o.leases.acquire(leaseClient(inv))
 		expired = l.expired
+		onPut = func() { l.last.Store(time.Now().UnixNano()) }
 	}
-	if peer {
-		var onPut func()
-		if l != nil {
-			onPut = func() { l.last.Store(time.Now().UnixNano()) }
-		}
-		win, cancel, err := o.srv.RegisterWindow(key, seq.LocalData(), int64(expect), onPut)
-		if err != nil {
-			return err
-		}
-		defer cancel()
-		err = waitWindow(win, ctx, o.closed, expired)
-		o.xferIn.ObserveDuration(time.Since(t))
-		return err
-	}
-	asm := newBlockAssembler(o.rank, seq.LocalData(), expect)
-	accept := asm.accept
-	if l != nil {
-		accept = func(blk orb.Block) error {
-			l.last.Store(time.Now().UnixNano())
-			return asm.accept(blk)
-		}
-	}
-	cancel, err := o.srv.ExpectBlocksFunc(key, accept)
+	win, cancel, err := o.srv.RegisterWindow(key, o.rank, seq.LocalData(), int64(expect), onPut)
 	if err != nil {
 		return err
 	}
 	defer cancel()
-	err = asm.wait(ctx, o.closed, expired)
+	err = waitWindow(win, ctx, o.closed, expired)
 	o.xferIn.ObserveDuration(time.Since(t))
 	return err
 }
 
 // sendBlocks ships this thread's share of a multi-port out transfer
-// directly to the client threads' endpoints, chunked and windowed
-// (see sendPlanBlocks); under the peer data plane the blocks travel as
-// window puts into the destinations the client registered
-// (sendPlanPuts).
+// directly into the windows the client threads registered, chunked
+// and windowed (see sendPlan): as window puts when the client asked for
+// the peer data plane, as routed blocks otherwise.
 func (o *Object) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, seq *dseq.Doubles, endpoints []string, peer bool) error {
 	if len(dist.PlanFor(plan, o.rank)) == 0 {
 		return nil
@@ -1008,16 +985,12 @@ func (o *Object) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, seq
 		pathKey = endpoints[0]
 		window, chunkElems = tunedKnobs(pathKey, window, chunkElems)
 	}
-	t := time.Now()
-	var n uint64
-	var err error
-	if peer {
-		n, err = sendPlanPuts(o.out, inv, argIdx, o.rank, plan, seq.LocalData(),
-			endpointFor, window, chunkElems)
-	} else {
-		n, err = sendPlanBlocks(o.out, inv, argIdx, o.rank, plan, seq.LocalData(),
-			endpointFor, window, chunkElems)
+	send, err := chunksFor(o.out, peer, inv, argIdx, o.rank, endpointFor)
+	if err != nil {
+		return err
 	}
+	t := time.Now()
+	n, err := sendPlan(o.rank, plan, seq.LocalData(), window, chunkElems, send)
 	elapsed := time.Since(t)
 	o.xferOut.ObserveDuration(elapsed)
 	if o.autoTune && err == nil {
@@ -1047,20 +1020,4 @@ func (o *Object) agree(local error) error {
 		}
 	}
 	return nil
-}
-
-// blockHeaderLen is the encoded size of a BlockTransferHeader — all
-// fields are fixed-width and the encoding starts at stream offset 0,
-// so the length is a constant (independent of values and byte order).
-var blockHeaderLen = func() int {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	new(giop.BlockTransferHeader).Encode(e)
-	return e.Len()
-}()
-
-// blockPayloadBase returns the stream offset at which a block payload
-// starts (right after its header), needed for alignment-correct
-// decoding.
-func blockPayloadBase(h giop.BlockTransferHeader, order cdr.ByteOrder) int {
-	return blockHeaderLen
 }

@@ -1,29 +1,29 @@
 // Parallel SPMD data plane: the shared machinery both sides of a
-// multi-port transfer use to ship and assemble distributed-argument
-// blocks.
+// multi-port transfer use to ship and land distributed-argument blocks.
 //
-// Sending: sendPlanBlocks fans a thread's share of a transfer plan out
-// to the destination threads with a bounded in-flight window, after
-// splitting oversized blocks into pipelined chunks (dist.Chunk), so
-// the encode of chunk N overlaps the write of chunk N-1 and transfers
-// to different ranks ride different connections simultaneously.
-// Chunks also stay under the pooled-encoder retention cap, so the
-// encode path reuses pooled buffers instead of allocating
-// multi-megabyte one-offs.
+// Sending: sendPlan fans a thread's share of a transfer plan out to the
+// destination threads with a bounded in-flight window, after splitting
+// oversized blocks into pipelined chunks (dist.Chunk), so the encode of
+// chunk N overlaps the write of chunk N-1 and transfers to different
+// ranks ride different connections simultaneously. One per-chunk send
+// function picks the wire: window puts when the receiving side
+// advertised the PeerWindows capability, routed block frames (the 1.0
+// wire, byte-identical to the legacy serial path) otherwise. Chunks
+// stay under the pooled-encoder retention cap, so the encode path
+// reuses pooled buffers instead of allocating multi-megabyte one-offs.
 //
-// Receiving: blockAssembler decodes each arriving block straight into
-// the destination slice (DoubleSeqInto — no intermediate copy) on the
+// Receiving: every receiver registers its destination slice as an
+// orb.Window, which lands both wires straight into place on the
 // delivering connection's read goroutine, counting elements rather
-// than messages, so chunks may arrive out of order, interleaved
-// across senders, and concurrently. Safety argument: the transfer
-// plan partitions the destination index space, every block carries
-// its own disjoint [DstOff, DstOff+Count) window (bounds-checked
-// before decode), and completion is the element count reaching the
-// planned total — so no ordering between blocks is ever required.
+// than messages, so chunks may arrive out of order, interleaved across
+// senders, and concurrently. Safety argument: the transfer plan
+// partitions the destination index space, every chunk carries its own
+// disjoint [DstOff, DstOff+Count) range (checked before it lands), and
+// completion is the element count reaching the planned total — so no
+// ordering between chunks is ever required.
 package spmd
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -48,11 +48,6 @@ var (
 	// chunking). 256 KiB keeps chunks inside the pooled-encoder
 	// retention cap.
 	DefaultXferChunkBytes = 256 << 10
-	// DefaultPeerXfer enables the one-sided peer data plane (window
-	// puts straight into the destination rank's registered slice) when
-	// both sides are capable. The PeerXfer knobs default to it; a
-	// negative knob forces the routed block path.
-	DefaultPeerXfer = true
 	// DefaultAutoTune resolves the per-endpoint self-tuning transport
 	// (AutoTune knobs on BindConfig/ObjectConfig; the pardisd and
 	// pardis-bench -auto-tune flags flip it process-wide). Off by
@@ -86,10 +81,6 @@ func ResolvedXferWindow() int { return resolveWindow(0) }
 // ResolvedXferChunkBytes reports the effective process-wide default
 // chunk threshold in bytes (0 when chunking is disabled).
 func ResolvedXferChunkBytes() int { return resolveChunkElems(0) * 8 }
-
-// ResolvedPeerXfer reports the effective process-wide default peer
-// data-plane wish.
-func ResolvedPeerXfer() bool { return resolvePeer(0) }
 
 // tunedKnobs re-resolves (window, chunkElems) from the shared tuner
 // for one transfer, falling back to the statically resolved values
@@ -127,15 +118,6 @@ func resolveChunkElems(bytes int) int {
 	return max(bytes/8, 1)
 }
 
-// resolvePeer maps a PeerXfer knob to the effective peer-data-plane
-// wish: 0 = package default, negative = routed only.
-func resolvePeer(v int) bool {
-	if v == 0 {
-		return DefaultPeerXfer
-	}
-	return v > 0
-}
-
 // Interned once: the data-plane counters are touched per chunk.
 var (
 	blocksInflight = telemetry.Default.Gauge("pardis_spmd_blocks_inflight")
@@ -144,32 +126,72 @@ var (
 	// peerBlocksTotal counts window-put chunks shipped over the peer
 	// data plane (the direct counterpart of routed block transfers).
 	peerBlocksTotal = telemetry.Default.Counter("pardis_spmd_peer_blocks_total")
-	// peerFallback* count transfers that wanted the peer plane but took
-	// the routed path, by reason: the knob disabled it, or the remote
-	// endpoint did not advertise the capability.
-	peerFallbackDisabled = telemetry.Default.Counter("pardis_spmd_peer_fallback_total", "reason", "disabled")
+	// peerFallbackEndpoint counts multi-port bindings that took the
+	// routed wire because the object did not advertise the capability.
 	peerFallbackEndpoint = telemetry.Default.Counter("pardis_spmd_peer_fallback_total", "reason", "endpoint")
 )
 
-// blockSender abstracts orb.Client.SendBlock for the shared send path.
+// blockSender abstracts orb.Client.SendBlock for the routed wire.
 type blockSender interface {
 	SendBlock(endpoint string, hdr giop.BlockTransferHeader, payload func(*cdr.Encoder)) (int, error)
 }
 
-// sendPlanBlocks ships rank's share of a block-transfer plan for one
-// argument, chunked and windowed. endpointFor maps a destination
-// thread to its endpoint. It returns the total encoded payload bytes
-// shipped (actual wire accounting, any element type).
+// chunkSender ships one chunk of a transfer plan — tr names the
+// destination rank and range, blk holds its elements, last marks the
+// sender's final chunk to that rank — and returns the payload bytes it
+// put on the wire.
+type chunkSender func(tr dist.Transfer, last bool, blk []float64) (int, error)
+
+// blockChunks ships chunks as routed MsgBlockTransfer frames addressed
+// to window key, the wire a receiver that did not advertise
+// PeerWindows understands.
+func blockChunks(oc blockSender, key uint64, argIdx uint32, rank int, endpointFor func(int) string) chunkSender {
+	return func(tr dist.Transfer, last bool, blk []float64) (int, error) {
+		return oc.SendBlock(endpointFor(tr.To), giop.BlockTransferHeader{
+			InvocationID: key,
+			ArgIndex:     argIdx,
+			FromThread:   int32(rank),
+			ToThread:     int32(tr.To),
+			DstOff:       uint32(tr.DstOff),
+			Count:        uint32(tr.Count),
+			Last:         last,
+		}, func(e *cdr.Encoder) { e.PutDoubleSeq(blk) })
+	}
+}
+
+// chunksFor picks the wire for one argument's transfer: one-sided
+// window puts when the receiving side advertised PeerWindows (no CDR
+// sequence framing and, in native order, no payload copy on either
+// side), routed block frames otherwise. Both address the window the
+// receiver registered under BlockSinkKey(inv, argIdx).
+func chunksFor(oc *orb.Client, peer bool, inv uint64, argIdx uint32, rank int, endpointFor func(int) string) (chunkSender, error) {
+	key, err := giop.BlockSinkKey(inv, argIdx)
+	if err != nil {
+		return nil, err
+	}
+	if !peer {
+		return blockChunks(oc, key, argIdx, rank, endpointFor), nil
+	}
+	return func(tr dist.Transfer, last bool, blk []float64) (int, error) {
+		peerBlocksTotal.Inc()
+		return oc.PutWindow(endpointFor(tr.To), giop.WindowPutHeader{
+			WindowID:   key,
+			FromThread: int32(rank),
+			DstOff:     uint32(tr.DstOff),
+			Count:      uint32(tr.Count),
+			Last:       last,
+		}, blk)
+	}, nil
+}
+
+// sendPlan ships rank's share of a transfer plan for one argument
+// through send, chunked and windowed. It returns the total payload
+// bytes shipped.
 //
 // With window <= 1 and chunkElems == 0 the sends are issued serially
 // in plan order — byte-identical wire traffic to the legacy serial
 // path (pinned by TestSerialWireIdentical).
-func sendPlanBlocks(oc blockSender, inv uint64, argIdx uint32, rank int,
-	plan []dist.Transfer, local []float64, endpointFor func(int) string,
-	window, chunkElems int) (uint64, error) {
-	if _, err := giop.BlockSinkKey(inv, argIdx); err != nil {
-		return 0, err
-	}
+func sendPlan(rank int, plan []dist.Transfer, local []float64, window, chunkElems int, send chunkSender) (uint64, error) {
 	mine := dist.PlanFor(plan, rank)
 	if len(mine) == 0 {
 		return 0, nil
@@ -184,27 +206,18 @@ func sendPlanBlocks(oc blockSender, inv uint64, argIdx uint32, rank int,
 	for idx, tr := range mine {
 		lastIdx[tr.To] = idx
 	}
-	header := func(idx int, tr dist.Transfer) giop.BlockTransferHeader {
-		return giop.BlockTransferHeader{
-			InvocationID: inv<<8 | uint64(argIdx),
-			ArgIndex:     argIdx,
-			FromThread:   int32(rank),
-			ToThread:     int32(tr.To),
-			DstOff:       uint32(tr.DstOff),
-			Count:        uint32(tr.Count),
-			Last:         lastIdx[tr.To] == idx,
-		}
+	ship := func(idx int, tr dist.Transfer) (int, error) {
+		n, err := send(tr, lastIdx[tr.To] == idx, local[tr.SrcOff:tr.SrcOff+tr.Count])
+		chunkBytesHist.Observe(float64(n))
+		return n, err
 	}
 
 	if window <= 1 || len(mine) == 1 {
 		var total uint64
 		for idx, tr := range mine {
-			blk := local[tr.SrcOff : tr.SrcOff+tr.Count]
 			blocksInflight.Inc()
-			n, err := oc.SendBlock(endpointFor(tr.To), header(idx, tr),
-				func(e *cdr.Encoder) { e.PutDoubleSeq(blk) })
+			n, err := ship(idx, tr)
 			blocksInflight.Dec()
-			chunkBytesHist.Observe(float64(n))
 			if err != nil {
 				return total, err
 			}
@@ -234,10 +247,7 @@ func sendPlanBlocks(oc blockSender, inv uint64, argIdx uint32, rank int,
 				<-sem
 				wg.Done()
 			}()
-			blk := local[tr.SrcOff : tr.SrcOff+tr.Count]
-			n, err := oc.SendBlock(endpointFor(tr.To), header(idx, tr),
-				func(e *cdr.Encoder) { e.PutDoubleSeq(blk) })
-			chunkBytesHist.Observe(float64(n))
+			n, err := ship(idx, tr)
 			if err != nil {
 				if failed.CompareAndSwap(false, true) {
 					errMu.Lock()
@@ -256,112 +266,9 @@ func sendPlanBlocks(oc blockSender, inv uint64, argIdx uint32, rank int,
 	return total.Load(), err
 }
 
-// peerPutter abstracts orb.Client.PutWindow for the peer send path.
-type peerPutter interface {
-	PutWindow(endpoint string, hdr giop.WindowPutHeader, blk []float64) (int, error)
-}
-
-// sendPlanPuts is sendPlanBlocks' one-sided twin: rank's share of the
-// plan ships as MsgWindowPut frames straight to the destination ranks'
-// endpoints, landing in the window they registered under
-// BlockSinkKey(inv, argIdx) — no CDR sequence framing, no sink hop,
-// and (native order) no payload copy on either side. Chunking and the
-// in-flight window work exactly as on the routed path, and the same
-// plan-derived bounds checks apply before anything is sent.
-func sendPlanPuts(pc peerPutter, inv uint64, argIdx uint32, rank int,
-	plan []dist.Transfer, local []float64, endpointFor func(int) string,
-	window, chunkElems int) (uint64, error) {
-	key, err := giop.BlockSinkKey(inv, argIdx)
-	if err != nil {
-		return 0, err
-	}
-	mine := dist.PlanFor(plan, rank)
-	if len(mine) == 0 {
-		return 0, nil
-	}
-	for _, tr := range mine {
-		if err := giop.CheckBlockRange(tr.DstOff, tr.Count); err != nil {
-			return 0, err
-		}
-	}
-	mine = dist.Chunk(mine, chunkElems)
-	lastIdx := make(map[int]int, len(mine))
-	for idx, tr := range mine {
-		lastIdx[tr.To] = idx
-	}
-	header := func(idx int, tr dist.Transfer) giop.WindowPutHeader {
-		return giop.WindowPutHeader{
-			WindowID:   key,
-			FromThread: int32(rank),
-			DstOff:     uint32(tr.DstOff),
-			Count:      uint32(tr.Count),
-			Last:       lastIdx[tr.To] == idx,
-		}
-	}
-
-	if window <= 1 || len(mine) == 1 {
-		var total uint64
-		for idx, tr := range mine {
-			blk := local[tr.SrcOff : tr.SrcOff+tr.Count]
-			blocksInflight.Inc()
-			n, err := pc.PutWindow(endpointFor(tr.To), header(idx, tr), blk)
-			blocksInflight.Dec()
-			peerBlocksTotal.Inc()
-			chunkBytesHist.Observe(float64(n))
-			if err != nil {
-				return total, err
-			}
-			total += uint64(n)
-		}
-		return total, nil
-	}
-
-	var (
-		sem      = make(chan struct{}, window)
-		wg       sync.WaitGroup
-		total    atomic.Uint64
-		failed   atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for idx, tr := range mine {
-		if failed.Load() {
-			break
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		blocksInflight.Inc()
-		go func(idx int, tr dist.Transfer) {
-			defer func() {
-				blocksInflight.Dec()
-				<-sem
-				wg.Done()
-			}()
-			blk := local[tr.SrcOff : tr.SrcOff+tr.Count]
-			n, err := pc.PutWindow(endpointFor(tr.To), header(idx, tr), blk)
-			peerBlocksTotal.Inc()
-			chunkBytesHist.Observe(float64(n))
-			if err != nil {
-				if failed.CompareAndSwap(false, true) {
-					errMu.Lock()
-					firstErr = err
-					errMu.Unlock()
-				}
-				return
-			}
-			total.Add(uint64(n))
-		}(idx, tr)
-	}
-	wg.Wait()
-	errMu.Lock()
-	err = firstErr
-	errMu.Unlock()
-	return total.Load(), err
-}
-
-// waitWindow awaits a registered destination window the way
-// blockAssembler.wait awaits routed assembly: until completion (or
-// window failure), context cancellation, close, or lease expiry.
+// waitWindow awaits a registered destination window: until completion
+// (or window failure), context cancellation, close, or the sending
+// client's lease expiry (nil channels never fire).
 func waitWindow(w *orb.Window, ctx contextDoner, closed, expired <-chan struct{}) error {
 	var ctxDone <-chan struct{}
 	if ctx != nil {
@@ -379,107 +286,7 @@ func waitWindow(w *orb.Window, ctx contextDoner, closed, expired <-chan struct{}
 	}
 }
 
-// blockAssembler collects one (argument, receiver-rank) transfer's
-// blocks, decoding each straight into the destination slice. accept
-// runs on connection read goroutines and is safe for concurrent use:
-// blocks write disjoint destination windows, and completion is
-// tracked as an element count so arrival order is irrelevant.
-type blockAssembler struct {
-	rank   int
-	local  []float64
-	expect int64
-	got    atomic.Int64
-	nbytes atomic.Uint64 // encoded payload bytes accepted
-	done   chan struct{}
-	once   sync.Once
-	mu     sync.Mutex
-	err    error
-}
-
-// newBlockAssembler expects `expect` total elements addressed to rank
-// landing in local. An expectation of zero is complete immediately.
-func newBlockAssembler(rank int, local []float64, expect int) *blockAssembler {
-	a := &blockAssembler{rank: rank, local: local, expect: int64(expect),
-		done: make(chan struct{})}
-	if expect <= 0 {
-		a.once.Do(func() { close(a.done) })
-	}
-	return a
-}
-
-// finish records the terminal state (first error wins) and wakes
-// waiters.
-func (a *blockAssembler) finish(err error) error {
-	a.mu.Lock()
-	if err != nil && a.err == nil {
-		a.err = err
-	}
-	a.mu.Unlock()
-	a.once.Do(func() { close(a.done) })
-	return err
-}
-
-// accept decodes one block into the destination. A non-nil return
-// also tears down the delivering connection (the sender violated the
-// plan or the payload is undecodable).
-func (a *blockAssembler) accept(blk orb.Block) error {
-	h := blk.Header
-	if int(h.ToThread) != a.rank {
-		return a.finish(fmt.Errorf("%w: block addressed to thread %d arrived at %d",
-			ErrBadCall, h.ToThread, a.rank))
-	}
-	end := int(h.DstOff) + int(h.Count)
-	if end > len(a.local) {
-		return a.finish(fmt.Errorf("%w: block [%d,%d) overflows local block of %d",
-			ErrBadCall, h.DstOff, end, len(a.local)))
-	}
-	d := cdr.NewDecoderAt(blk.Order, blk.Payload, blockPayloadBase(h, blk.Order))
-	// The three-index slice caps capacity at the block's window, so
-	// the decoder fills it in place and cannot write beyond it.
-	data, err := d.DoubleSeqInto(a.local[h.DstOff:h.DstOff:end])
-	if err != nil {
-		return a.finish(err)
-	}
-	if len(data) != int(h.Count) {
-		return a.finish(fmt.Errorf("%w: block count %d, payload %d",
-			ErrBadCall, h.Count, len(data)))
-	}
-	a.nbytes.Add(uint64(len(blk.Payload)))
-	got := a.got.Add(int64(h.Count))
-	if got > a.expect {
-		return a.finish(fmt.Errorf("%w: received %d of %d expected elements",
-			ErrBadCall, got, a.expect))
-	}
-	if got == a.expect {
-		a.finish(nil)
-	}
-	return nil
-}
-
-// wait blocks until assembly completes (or fails), the context is
-// done, closed fires, or the sending client's lease expires (nil
-// channels never fire).
-func (a *blockAssembler) wait(ctx contextDoner, closed, expired <-chan struct{}) error {
-	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
-	}
-	select {
-	case <-a.done:
-		a.mu.Lock()
-		err := a.err
-		a.mu.Unlock()
-		return err
-	case <-ctxDone:
-		return ctx.Err()
-	case <-closed:
-		return ErrClosed
-	case <-expired:
-		return ErrLeaseExpired
-	}
-}
-
-// contextDoner is the subset of context.Context wait needs.
+// contextDoner is the subset of context.Context waitWindow needs.
 type contextDoner interface {
 	Done() <-chan struct{}
 	Err() error
