@@ -9,7 +9,10 @@ test:
 	$(GO) test ./...
 
 # verify is the CI tier: compile everything, static checks (vet and
-# gofmt), telemetry lint, full test suite under the race detector.
+# gofmt), telemetry lint, full test suite under the race detector, and
+# the nested perfbench module's vet and self-tests (./... stops at the
+# module boundary, so an API change could otherwise break the
+# benchmark unseen).
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -17,6 +20,7 @@ verify:
 	$(MAKE) lint-telemetry
 	$(MAKE) lint-fault
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-quick
 	$(MAKE) bench-overhead

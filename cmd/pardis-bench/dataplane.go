@@ -2,9 +2,9 @@
 // in-process — an n-thread client streaming a block-distributed
 // dsequence<double> into an m-thread multi-port object — and reports
 // the Figure-4-style bandwidth curve (wall clock per in-transfer vs
-// sequence length). The transfer knobs come from -xfer-window and
-// -xfer-chunk, so A/B runs of the same binary isolate the data-plane
-// configuration under test.
+// sequence length). The transfer policy comes from -xfer-window,
+// -xfer-chunk, -stripes and -auto-tune, so A/B runs of the same binary
+// isolate the data-plane configuration under test.
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 	"pardis/internal/dseq"
 	"pardis/internal/ior"
 	"pardis/internal/mp"
-	"pardis/internal/orb"
 	"pardis/internal/rts"
 	"pardis/internal/spmd"
 	"pardis/internal/transport"
@@ -33,9 +32,9 @@ type dataplaneConfig struct {
 	reps          int
 	doubles       int // 0 = sweep the default length grid
 	jsonOut       bool
-	// tuneAB runs the grid twice — static knobs, then the self-tuning
-	// transport (AutoTune 1 on the binding, converged during warm-up) —
-	// so one invocation isolates the tuner's contribution.
+	// tuneAB runs the grid twice — xfer with AutoTune off, then on
+	// (the tuner converged during warm-up) — so one invocation isolates
+	// the tuner's contribution.
 	tuneAB bool
 	// wanLatency > 0 routes the transfers through the fault-injection
 	// transport with that much latency per dial and per delivered write
@@ -43,6 +42,8 @@ type dataplaneConfig struct {
 	// where larger tuned chunks amortize the per-write cost and tuned
 	// stripes overlap it across connections.
 	wanLatency time.Duration
+	// xfer is the transfer policy of every bind and export.
+	xfer spmd.Transfer
 }
 
 type dataplanePoint struct {
@@ -54,9 +55,10 @@ type dataplanePoint struct {
 	AllocsTot uint64  `json:"-"`
 }
 
-// dataplaneResult reports the *resolved* data-plane configuration a
-// pass actually ran with — what the zero-valued knobs meant in this
-// process — not the raw flag values.
+// dataplaneResult reports the *resolved* transfer policy a pass
+// actually ran with — what the zero-valued knobs meant in this
+// process — not the raw flag values (xfer_chunk_bytes 0 = chunking
+// disabled).
 type dataplaneResult struct {
 	Date          string           `json:"date"`
 	Plane         string           `json:"plane,omitempty"`
@@ -96,23 +98,25 @@ func runDataplane(cfg dataplaneConfig) {
 		listenAt = "faulty+inproc:*"
 	}
 
-	ref, closeObj := startDataplaneObject(reg, cfg.serverThreads, listenAt)
+	ref, closeObj := startDataplaneObject(reg, cfg.serverThreads, listenAt, cfg.xfer)
 	defer closeObj()
 
 	// One pass per plane, all against the same server export. The
-	// default single pass inherits the process-wide knobs; -tune runs a
-	// static-vs-tuned pair (AutoTune forced off, then on, per binding).
+	// default single pass binds with cfg.xfer; -tune runs a
+	// static-vs-tuned pair (its AutoTune off, then on).
 	type pass struct {
 		name     string
-		tuneKnob int
+		xfer     spmd.Transfer
 		warmReps int // A/B warm-up invocations at the largest length
 	}
-	planes := []pass{{"", 0, 0}}
+	planes := []pass{{"", cfg.xfer, 0}}
 	if cfg.tuneAB {
 		// The tuned pass warms longer: beyond heap and frame-pool fill,
 		// its warm-up is what feeds the tuner past its MinSamples gate so
 		// the measured reps run on converged knobs.
-		planes = []pass{{"static", -1, 1}, {"tuned", 1, 8}}
+		static, tuned := cfg.xfer, cfg.xfer
+		static.AutoTune, tuned.AutoTune = false, true
+		planes = []pass{{"static", static, 1}, {"tuned", tuned, 8}}
 	}
 
 	// In A/B mode, warm every plane at the largest length before any
@@ -122,7 +126,7 @@ func runDataplane(cfg dataplaneConfig) {
 		for _, plane := range planes {
 			warm := cfg
 			warm.reps = plane.warmReps
-			if _, err := dataplaneOnePoint(reg, ref, warm, lengths[len(lengths)-1], plane.tuneKnob); err != nil {
+			if _, err := dataplaneOnePoint(reg, ref, warm, lengths[len(lengths)-1], plane.xfer); err != nil {
 				fatal(err)
 			}
 		}
@@ -130,26 +134,26 @@ func runDataplane(cfg dataplaneConfig) {
 
 	var results []dataplaneResult
 	for _, plane := range planes {
-		tuned := plane.tuneKnob > 0 || (plane.tuneKnob == 0 && spmd.DefaultAutoTune)
+		r := plane.xfer.Resolve()
 		res := dataplaneResult{
 			Date:          time.Now().UTC().Format("2006-01-02"),
 			Plane:         plane.name,
 			ClientThreads: cfg.clientThreads,
 			ServerThreads: cfg.serverThreads,
-			XferWindow:    spmd.ResolvedXferWindow(),
-			XferChunk:     spmd.ResolvedXferChunkBytes(),
-			Stripes:       orb.DefaultStripeWidth(),
-			AutoTune:      tuned,
+			XferWindow:    r.Window,
+			XferChunk:     max(r.ChunkBytes, 0),
+			Stripes:       r.Stripes,
+			AutoTune:      r.AutoTune,
 			WANSeconds:    cfg.wanLatency.Seconds(),
 		}
 		for _, length := range lengths {
-			pt, err := dataplaneOnePoint(reg, ref, cfg, length, plane.tuneKnob)
+			pt, err := dataplaneOnePoint(reg, ref, cfg, length, plane.xfer)
 			if err != nil {
 				fatal(err)
 			}
 			res.Points = append(res.Points, pt)
 		}
-		if tuned {
+		if r.AutoTune {
 			res.Tune = spmd.AutoTuner.Snapshot()
 		}
 		results = append(results, res)
@@ -202,7 +206,7 @@ func runDataplane(cfg dataplaneConfig) {
 // startDataplaneObject exports an m-thread multi-port object with a
 // single "sink" op (one In distributed argument), so the invocation
 // cost is the in-transfer itself.
-func startDataplaneObject(reg *transport.Registry, m int, listenAt string) (*ior.Ref, func()) {
+func startDataplaneObject(reg *transport.Registry, m int, listenAt string, xfer spmd.Transfer) (*ior.Ref, func()) {
 	w := mp.MustWorld(m)
 	refs := make(chan *ior.Ref, 1)
 	objs := make([]*spmd.Object, m)
@@ -220,6 +224,7 @@ func startDataplaneObject(reg *transport.Registry, m int, listenAt string) (*ior
 				Key:            "objects/dataplane",
 				TypeID:         "IDL:dataplane_bench:1.0",
 				MultiPort:      true,
+				Transfer:       xfer,
 				Ops: map[string]*spmd.Op{
 					"sink": {
 						Spec: spmd.OpSpec{Args: []spmd.ArgSpec{{Mode: spmd.In, Dist: dist.Block()}}},
@@ -257,7 +262,7 @@ func startDataplaneObject(reg *transport.Registry, m int, listenAt string) (*ior
 }
 
 func dataplaneOnePoint(reg *transport.Registry, ref *ior.Ref,
-	cfg dataplaneConfig, length, autoTune int) (dataplanePoint, error) {
+	cfg dataplaneConfig, length int, xfer spmd.Transfer) (dataplanePoint, error) {
 	var elapsed time.Duration
 	err := mp.Run(cfg.clientThreads, func(proc *mp.Proc) error {
 		th := rts.NewMessagePassing(proc)
@@ -266,7 +271,7 @@ func dataplaneOnePoint(reg *transport.Registry, ref *ior.Ref,
 			Registry:       reg,
 			Method:         spmd.MultiPort,
 			ListenEndpoint: "inproc:*",
-			AutoTune:       autoTune,
+			Transfer:       xfer,
 		}, ref)
 		if err != nil {
 			return err

@@ -19,7 +19,6 @@ import (
 	"pardis/internal/cdr"
 	"pardis/internal/giop"
 	"pardis/internal/orb"
-	"pardis/internal/spmd"
 	"pardis/internal/telemetry"
 	"pardis/internal/transport"
 )
@@ -49,9 +48,6 @@ type liveResult struct {
 	Doubles     int     `json:"doubles_per_op"`
 	Concurrency int     `json:"concurrency"`
 	Stripes     int     `json:"stripes"`
-	XferWindow  int     `json:"xfer_window"`
-	XferChunk   int     `json:"xfer_chunk_bytes"`
-	AutoTune    bool    `json:"auto_tune"`
 	Faulty      bool    `json:"faulty"`
 	Elapsed     float64 `json:"elapsed_seconds"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
@@ -197,11 +193,6 @@ func runLive(cfg liveConfig) {
 		Doubles:     cfg.doubles,
 		Concurrency: cfg.concurrency,
 		Stripes:     stripes,
-		// The resolved process-wide data-plane configuration this run
-		// executed under (what the zero-valued knobs meant here).
-		XferWindow:  spmd.ResolvedXferWindow(),
-		XferChunk:   spmd.ResolvedXferChunkBytes(),
-		AutoTune:    spmd.DefaultAutoTune,
 		Faulty:      cfg.faulty,
 		Elapsed:     elapsed.Seconds(),
 		OpsPerSec:   float64(cfg.ops) / elapsed.Seconds(),

@@ -37,8 +37,8 @@
 // -dataplane benchmarks the real SPMD data plane instead: an n-thread
 // client streams a block-distributed dsequence<double> into an
 // m-thread multi-port object and the Figure-4-style bandwidth curve
-// is reported (add -json for machine-readable points; -xfer-window
-// and -xfer-chunk pin the transfer knobs under test):
+// is reported (add -json for machine-readable points; -xfer-window,
+// -xfer-chunk and -stripes pin the transfer policy under test):
 //
 //	pardis-bench -dataplane -threads 4
 //	pardis-bench -dataplane -xfer-window 1 -xfer-chunk -1 -json
@@ -46,7 +46,7 @@
 // -tune A/Bs the self-tuning transport against the static knobs over
 // the same server object, -wan emulates a high-latency path (per-dial
 // and per-write latency through the fault-injection transport, no
-// faults), and -auto-tune enables the tuner process-wide for any mode:
+// faults), and -auto-tune runs a plain -dataplane pass tuned:
 //
 //	pardis-bench -dataplane -tune
 //	pardis-bench -dataplane -tune -wan 200us
@@ -87,7 +87,7 @@ func main() {
 	ops := flag.Int("ops", 5000, "invocations to issue in -live mode")
 	doubles := flag.Int("doubles", 1024, "payload doubles per invocation in -live mode")
 	concurrency := flag.Int("concurrency", 4, "concurrent invokers in -live mode")
-	stripes := flag.Int("stripes", 0, "connections per endpoint for the -live client (0 = orb default, min(4, GOMAXPROCS))")
+	stripes := flag.Int("stripes", 0, "connections per endpoint for the -live client and the -dataplane binds and exports (0 = orb default, min(4, GOMAXPROCS))")
 	faulty := flag.Bool("faulty", false, "route -live traffic through the fault-injection transport")
 	maxInflight := flag.Int("max-inflight", 0, "admission cap on concurrently running handlers in the -live server (0 = unlimited; -1 = orb defaults)")
 	jsonOut := flag.Bool("json", false, "emit the -live summary as JSON (bench-snapshot format)")
@@ -105,20 +105,15 @@ func main() {
 	serverThreads := flag.Int("threads", 4, "server SPMD threads (m) in -dataplane mode")
 	xferWindow := flag.Int("xfer-window", 0, "concurrent block streams per SPMD transfer (0 = default, min(4, GOMAXPROCS); 1 = serial)")
 	xferChunk := flag.Int("xfer-chunk", 0, "SPMD block chunk size in bytes (0 = default 256KiB, negative = disable chunking)")
-	autoTune := flag.Bool("auto-tune", false, "enable the self-tuning transport process-wide: per-endpoint path models re-derive chunk/window/stripe knobs from live transfer telemetry")
+	autoTune := flag.Bool("auto-tune", false, "enable the self-tuning transport on the -dataplane binds and exports: per-endpoint path models re-derive chunk/window/stripe knobs from live transfer telemetry")
 	tuneAB := flag.Bool("tune", false, "in -dataplane mode, A/B the self-tuning transport against the static knobs over the same server object")
 	wan := flag.Duration("wan", 0, "in -dataplane mode, emulate a WAN path: add this latency to every dial and delivered write (0 = direct in-process transport)")
 	flag.Parse()
 
-	if *xferWindow != 0 {
-		spmd.DefaultXferWindow = *xferWindow
-	}
-	if *xferChunk != 0 {
-		spmd.DefaultXferChunkBytes = *xferChunk
-	}
-	if *autoTune {
-		spmd.DefaultAutoTune = true
-	}
+	// One transfer policy for every SPMD bind and export this process
+	// makes; -live uses its stripes for the ORB client.
+	xfer := spmd.Transfer{Window: *xferWindow, ChunkBytes: *xferChunk,
+		Stripes: *stripes, AutoTune: *autoTune}
 
 	if *overhead {
 		runOverhead(overheadConfig{
@@ -143,6 +138,7 @@ func main() {
 			jsonOut:       *jsonOut,
 			tuneAB:        *tuneAB,
 			wanLatency:    *wan,
+			xfer:          xfer,
 		})
 		return
 	}
@@ -165,7 +161,7 @@ func main() {
 			ops:         *ops,
 			doubles:     *doubles,
 			concurrency: *concurrency,
-			stripes:     *stripes,
+			stripes:     xfer.Stripes,
 			faulty:      *faulty,
 			maxInflight: *maxInflight,
 			jsonOut:     *jsonOut,

@@ -34,9 +34,8 @@
 // and -flight-slow/-flight-errors size the slow-request flight
 // recorder behind /debug/slow. /healthz
 // answers a JSON body carrying admission queue depth, active SPMD
-// leases, outbound breaker states, and the resolved data-plane knobs
-// (plus per-endpoint tuner state under -auto-tune) alongside the 503
-// saturation signal, so the agent (and humans) can scrape one endpoint.
+// leases and outbound breaker states alongside the 503 saturation
+// signal, so the agent (and humans) can scrape one endpoint.
 //
 // Inspect a running domain with -list:
 //
@@ -86,9 +85,6 @@ func main() {
 	traceSample := flag.Float64("trace-sample", 0, "probability a root request starts a recorded trace, in [0,1]")
 	flightSlow := flag.Int("flight-slow", telemetry.DefaultFlightSlowK, "slowest invocations the flight recorder keeps per op (0 = disable the recorder)")
 	flightErrs := flag.Int("flight-errors", telemetry.DefaultFlightErrCap, "recent errored invocations the flight recorder keeps per op")
-	xferWindow := flag.Int("xfer-window", 0, "process-wide default for concurrent SPMD block streams per transfer (0 = min(4, GOMAXPROCS); 1 = serial)")
-	xferChunk := flag.Int("xfer-chunk", 0, "process-wide default SPMD block chunk size in bytes (0 = 256KiB, negative = disable chunking)")
-	autoTune := flag.Bool("auto-tune", false, "enable the self-tuning transport: per-endpoint path models re-derive SPMD chunk/window/stripe knobs from live transfer telemetry")
 	maxInflight := flag.Int("max-inflight", 0, "cap on concurrently running handlers; over-cap requests wait in a bounded queue and are shed TRANSIENT beyond it (0 = unlimited, no admission control)")
 	maxInflightConn := flag.Int("max-inflight-per-conn", 0, "per-connection cap on concurrently running handlers (0 = derived: half of -max-inflight)")
 	maxQueue := flag.Int("max-queue", 0, "bound on requests waiting for an admission slot (0 = derived: 2x -max-inflight)")
@@ -99,16 +95,6 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", agent.DefaultHeartbeatInterval, "agent heartbeat interval (registration TTL is 3x this)")
 	instance := flag.String("instance", "", "instance identity for agent registration (empty = generated)")
 	flag.Parse()
-
-	if *xferWindow != 0 {
-		spmd.DefaultXferWindow = *xferWindow
-	}
-	if *xferChunk != 0 {
-		spmd.DefaultXferChunkBytes = *xferChunk
-	}
-	if *autoTune {
-		spmd.DefaultAutoTune = true
-	}
 
 	if *logLevel != "" {
 		lvl, err := parseLevel(*logLevel)
@@ -291,18 +277,6 @@ func main() {
 				"inflight":            telemetry.Default.GaugeValue("pardis_server_inflight"),
 				"spmd_leases":         spmd.ActiveLeases(),
 				"spmd_leases_expired": spmd.ExpiredLeases(),
-				// The resolved data-plane defaults this process runs
-				// with — what a zero-valued knob actually means here.
-				"data_plane": map[string]any{
-					"xfer_window":      spmd.ResolvedXferWindow(),
-					"xfer_chunk_bytes": spmd.ResolvedXferChunkBytes(),
-					"auto_tune":        spmd.DefaultAutoTune,
-				},
-			}
-			if spmd.DefaultAutoTune {
-				// Per-endpoint tuner state: estimates and the currently
-				// recommended knobs, one entry per observed path.
-				body["tune"] = spmd.AutoTuner.Snapshot()
 			}
 			if oc != nil {
 				breakers := make(map[string]string)

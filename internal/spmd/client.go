@@ -42,30 +42,11 @@ type BindConfig struct {
 	// Deadline is the default per-invocation deadline applied when a
 	// call's context has none (0 = no default deadline).
 	Deadline time.Duration
-	// Stripes caps how many connections this thread's ORB client may
-	// open per endpoint (0 = orb.DefaultStripeWidth()). Concurrent
-	// invocations and block sends spread across the stripe.
-	Stripes int
-	// XferWindow bounds how many block sends this thread keeps in
-	// flight per transfer (0 = spmd.DefaultXferWindow, negative =
-	// serial).
-	XferWindow int
-	// XferChunkBytes is the payload size above which a block is split
-	// into pipelined chunks (0 = spmd.DefaultXferChunkBytes, negative
-	// = chunking disabled).
-	XferChunkBytes int
-	// AutoTune enables the self-tuning transport (0 =
-	// spmd.DefaultAutoTune, negative = off): the binding probes the
-	// path RTT at bind time, feeds every transfer's bytes/seconds into
-	// the process-wide tuner (spmd.AutoTuner), and re-resolves its
-	// chunk, window, and stripe knobs from the tuner's recommendation
-	// before each transfer. Until the path has enough samples — and
-	// whenever tuning is off — the statically resolved XferWindow /
-	// XferChunkBytes / Stripes values apply unchanged. The path is
-	// keyed by the reference's first endpoint: replicas of one object
-	// are assumed co-located enough to share a path model. An explicit
-	// Stripes pin always wins over the tuner's stripe recommendation.
-	AutoTune int
+	// Transfer is the in-argument transfer policy; its Stripes also
+	// cap this thread's invocation connections per endpoint. The path
+	// is keyed by the reference's first endpoint: replicas of one
+	// object are assumed co-located enough to share a path model.
+	Transfer Transfer
 }
 
 // Binding is one client thread's stub-side connection to an SPMD
@@ -88,17 +69,12 @@ type Binding struct {
 
 	stats bindingStats
 
-	// window/chunkElems are the resolved data-plane knobs (see
-	// BindConfig.XferWindow / XferChunkBytes); peer is true when the
-	// object's describe advertised window-put capable ports.
-	window     int
-	chunkElems int
-	peer       bool
-	// autoTune/pathKey: when tuning is on, sendBlocks re-resolves
-	// (window, chunkElems) from AutoTuner's recommendation for pathKey
-	// before each transfer and records the observed rate after it.
-	autoTune bool
-	pathKey  string
+	// xfer is the resolved transfer policy, its tuner path keyed by
+	// pathKey; peer is true when the object's describe advertised
+	// window-put capable ports.
+	xfer    xferPolicy
+	pathKey string
+	peer    bool
 
 	// rankLag is this rank's interned exit-barrier histogram (rank is
 	// fixed for the binding's lifetime, so resolve the labels once).
@@ -238,40 +214,24 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 	if cfg.Deadline > 0 {
 		clientOpts = append(clientOpts, orb.WithDefaultDeadline(cfg.Deadline))
 	}
-	if cfg.Stripes > 0 {
-		clientOpts = append(clientOpts, orb.WithStripes(cfg.Stripes))
-	}
-	autoTune := resolveAutoTune(cfg.AutoTune)
+	xfer := newXferPolicy(cfg.Transfer)
 	pathKey := ""
-	if autoTune && len(ref.Endpoints) > 0 {
+	if len(ref.Endpoints) > 0 {
 		pathKey = ref.Endpoints[0]
 	}
-	autoTune = autoTune && pathKey != ""
-	if autoTune && cfg.Stripes == 0 {
-		// Tuner-capped lazy stripe growth: the ORB client may open
-		// connections past the static width, up to the tuner's stripe
-		// recommendation, still one at a time and only under observed
-		// queueing (an explicit Stripes pin wins — see BindConfig).
-		clientOpts = append(clientOpts, orb.WithStripeCap(func(string) int {
-			if rec, ok := AutoTuner.Recommend(pathKey); ok {
-				return rec.Stripes
-			}
-			return 0
-		}))
-	}
+	xfer.autoTune = xfer.autoTune && pathKey != ""
+	clientOpts = append(clientOpts, xfer.clientOptions(pathKey)...)
 	b := &Binding{
-		cfg:    cfg,
-		th:     cfg.Thread,
-		rank:   cfg.Thread.Rank(),
-		size:   cfg.Thread.Size(),
-		ref:    ref,
-		oc:     orb.NewClient(reg, clientOpts...),
-		method: cfg.Method,
+		cfg:     cfg,
+		th:      cfg.Thread,
+		rank:    cfg.Thread.Rank(),
+		size:    cfg.Thread.Size(),
+		ref:     ref,
+		oc:      orb.NewClient(reg, clientOpts...),
+		method:  cfg.Method,
+		xfer:    xfer,
+		pathKey: pathKey,
 	}
-	b.window = resolveWindow(cfg.XferWindow)
-	b.chunkElems = resolveChunkElems(cfg.XferChunkBytes)
-	b.autoTune = autoTune
-	b.pathKey = pathKey
 	b.rankLag = telemetry.Default.Histogram("pardis_spmd_rank_lag_seconds",
 		"side", "client", "rank", strconv.Itoa(b.rank))
 	b.xferIn = telemetry.Default.Histogram("pardis_spmd_transfer_seconds",
@@ -352,7 +312,7 @@ func bind(ctx context.Context, cfg BindConfig, ref *ior.Ref) (*Binding, error) {
 		// The describe round trip doubles as the bind-time RTT probe: it
 		// is the cheapest request/reply pair the binding ever issues, and
 		// it happens exactly once, before any transfer needs the model.
-		if b.autoTune && err == nil {
+		if b.xfer.autoTune && err == nil {
 			AutoTuner.Probe(b.pathKey, time.Since(describeT))
 		}
 		if err == nil && rh.Status != giop.ReplyOK {
@@ -804,22 +764,12 @@ func (b *Binding) startPhase(ctx context.Context, spec *CallSpec) (*Pending, err
 // sendPlan), as one-sided puts on a peer binding and as routed blocks
 // otherwise.
 func (b *Binding) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, seq *dseq.Doubles) error {
-	window, chunkElems := b.window, b.chunkElems
-	if b.autoTune {
-		window, chunkElems = tunedKnobs(b.pathKey, window, chunkElems)
-	}
 	send, err := chunksFor(b.oc, b.peer, inv, argIdx, b.rank, b.ref.ThreadEndpoint)
 	if err != nil {
 		return err
 	}
-	t := time.Now()
-	n, err := sendPlan(b.rank, plan, seq.LocalData(), window, chunkElems, send)
-	elapsed := time.Since(t)
+	n, err := b.xfer.ship(b.pathKey, b.xferIn, b.rank, plan, seq.LocalData(), send)
 	b.stats.bytesOut.Add(n)
-	b.xferIn.ObserveDuration(elapsed)
-	if b.autoTune && err == nil {
-		AutoTuner.Record(b.pathKey, n, elapsed)
-	}
 	return err
 }
 

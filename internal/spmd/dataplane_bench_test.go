@@ -88,7 +88,7 @@ func startBenchObject(b *testing.B, reg *transport.Registry, m int, routedOnly b
 	}}
 }
 
-func benchInTransfer(b *testing.B, length, threads int, routedOnly bool, autoTune int) {
+func benchInTransfer(b *testing.B, length, threads int, routedOnly, autoTune bool) {
 	reg := newReg()
 	obj := startBenchObject(b, reg, threads, routedOnly)
 	defer obj.close()
@@ -101,7 +101,7 @@ func benchInTransfer(b *testing.B, length, threads int, routedOnly bool, autoTun
 			Registry:       reg,
 			Method:         MultiPort,
 			ListenEndpoint: "inproc:*",
-			AutoTune:       autoTune,
+			Transfer:       Transfer{AutoTune: autoTune},
 		}, obj.ref)
 		if err != nil {
 			return err
@@ -136,14 +136,14 @@ func benchInTransfer(b *testing.B, length, threads int, routedOnly bool, autoTun
 // landed from their bodies, forced by hiding the object's PeerWindows
 // capability as a 1.0 object would), plus tuned (the peer plane with
 // the self-tuning transport re-resolving chunk/window per transfer,
-// AutoTune=1 on the binding), so the allocation ledger covers the
+// Transfer{AutoTune: true} on the binding), so the allocation ledger covers the
 // tuner's hot path too.
 func BenchmarkMultiPortInTransfer(b *testing.B) {
 	planes := []struct {
 		name       string
 		routedOnly bool
-		autoTune   int
-	}{{"peer", false, 0}, {"routed", true, 0}, {"tuned", false, 1}}
+		autoTune   bool
+	}{{"peer", false, false}, {"routed", true, false}, {"tuned", false, true}}
 	for _, length := range []int{16 << 10, 128 << 10, 1 << 20} {
 		for _, threads := range []int{1, 4} {
 			for _, plane := range planes {

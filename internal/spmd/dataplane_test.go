@@ -242,8 +242,7 @@ func TestCrossOrderBlockAssembly(t *testing.T) {
 func TestChunkedTransferEndToEnd(t *testing.T) {
 	reg := newReg()
 	obj := startObjectCfg(t, reg, 3, true, diffusionOps, func(cfg *ObjectConfig) {
-		cfg.XferWindow = 3
-		cfg.XferChunkBytes = 1 << 10 // 128 doubles per chunk
+		cfg.Transfer = Transfer{Window: 3, ChunkBytes: 1 << 10} // 128 doubles per chunk
 	})
 	defer obj.close()
 	err := mp.Run(2, func(proc *mp.Proc) error {
@@ -251,8 +250,7 @@ func TestChunkedTransferEndToEnd(t *testing.T) {
 		b, err := Bind(context.Background(), BindConfig{
 			Thread: th, Registry: reg, Method: MultiPort,
 			ListenEndpoint: "inproc:*",
-			XferWindow:     4,
-			XferChunkBytes: 1 << 10,
+			Transfer:       Transfer{Window: 4, ChunkBytes: 1 << 10},
 		}, obj.ref)
 		if err != nil {
 			return err
@@ -310,7 +308,7 @@ func TestFaultCutBlockStream(t *testing.T) {
 	// tuning must not change the failure verdict or leak windows.
 	obj := startObjectCfg(t, okReg, 3, true, diffusionOps, func(cfg *ObjectConfig) {
 		cfg.routedOnly = true
-		cfg.AutoTune = 1
+		cfg.Transfer.AutoTune = true
 	})
 
 	clientErr := mp.Run(3, func(proc *mp.Proc) error {
@@ -321,7 +319,7 @@ func TestFaultCutBlockStream(t *testing.T) {
 		}
 		b, err := Bind(context.Background(), BindConfig{
 			Thread: th, Registry: reg, Method: MultiPort, ListenEndpoint: "inproc:*",
-			AutoTune: 1,
+			Transfer: Transfer{AutoTune: true},
 		}, obj.ref)
 		if err != nil {
 			return err

@@ -215,3 +215,58 @@ func TestFaultMalformedCentralInlineData(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultShortClientEndpoints: a multi-port request whose
+// out-argument endpoint list does not name every client rank is
+// refused with BAD_PARAM before the collective is engaged, instead of
+// shipping a rank's blocks to another rank's port, and the object goes
+// on serving well-formed clients.
+func TestFaultShortClientEndpoints(t *testing.T) {
+	reg := newReg()
+	obj := startObject(t, reg, 3, true, func(th rts.Thread) map[string]*Op {
+		ops := diffusionOps(th)
+		ops["fill"] = &Op{
+			Spec:    OpSpec{Args: []ArgSpec{{Mode: Out, Dist: dist.Block()}}},
+			Handler: func(*Call) error { return nil },
+		}
+		return ops
+	})
+	defer obj.close()
+
+	cli := orb.NewClient(reg)
+	defer cli.Close()
+	for _, eps := range [][]string{nil, {"inproc:nowhere"}} {
+		hdr := giop.RequestHeader{
+			InvocationID:     cli.NewInvocationID(),
+			ResponseExpected: true,
+			ObjectKey:        obj.ref.Key,
+			Operation:        "fill",
+			ThreadCount:      2,
+		}
+		w := &invocationWire{Method: MultiPort, Scalars: scalarEncapsulation(0),
+			Args: []*argWire{{Mode: Out, Length: 300, ClientCounts: []int{150, 150},
+				ClientEndpoints: eps}}}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		rh, order, body, err := cli.Invoke(ctx, obj.ref.Endpoints[0], hdr, w.encode)
+		cancel()
+		if err != nil {
+			t.Fatalf("%d endpoints for 2 ranks: %v", len(eps), err)
+		}
+		if rh.Status != giop.ReplySystemException {
+			t.Fatalf("%d endpoints for 2 ranks: reply status %v", len(eps), rh.Status)
+		}
+		ex, err := giop.DecodeSystemException(cdr.NewDecoder(order, body))
+		if err != nil || ex.Code != "BAD_PARAM" {
+			t.Fatalf("%d endpoints for 2 ranks: exception %v, %v", len(eps), ex, err)
+		}
+	}
+
+	errs := rankErrs(t, reg, 2, MultiPort, obj.ref, func(b *Binding, th rts.Thread) error {
+		return invokeDiffusion(b, th, 300, 2)
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d after malformed requests: %v", r, err)
+		}
+	}
+}

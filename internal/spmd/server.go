@@ -72,27 +72,11 @@ type ObjectConfig struct {
 	// Ops maps operation names to their distributed-argument
 	// declarations and handlers.
 	Ops map[string]*Op
-	// Stripes caps how many connections this thread's outbound ORB
-	// client (result blocks back to client ports) may open per
-	// endpoint (0 = orb.DefaultStripeWidth()).
-	Stripes int
-	// XferWindow bounds how many out-block sends this thread keeps in
-	// flight per transfer (0 = spmd.DefaultXferWindow, negative =
-	// serial).
-	XferWindow int
-	// XferChunkBytes is the payload size above which an out-block is
-	// split into pipelined chunks (0 = spmd.DefaultXferChunkBytes,
-	// negative = chunking disabled).
-	XferChunkBytes int
-	// AutoTune enables the self-tuning transport for out-argument
-	// transfers (0 = spmd.DefaultAutoTune, negative = off): each rank
-	// feeds its out-transfer bytes/seconds into the process-wide tuner
-	// (spmd.AutoTuner) and re-resolves its chunk, window, and stripe
-	// knobs per transfer. The path is keyed by the invoking client's
-	// first receive endpoint (its threads are assumed co-located).
-	// All threads must pass the same value. An explicit Stripes pin
-	// wins over the tuner's stripe recommendation.
-	AutoTune int
+	// Transfer is the out-argument transfer policy (result blocks
+	// back to client ports). The path is keyed by the invoking
+	// client's first receive endpoint (its threads are assumed
+	// co-located).
+	Transfer Transfer
 	// LeaseTTL is how long a client's server-side lease survives
 	// without traffic before its rank-side state (windows,
 	// in-dispatch waits) is reclaimed. 0 = DefaultLeaseTTL, negative =
@@ -130,15 +114,11 @@ type Object struct {
 	served atomic.Uint64
 	failed atomic.Uint64
 
-	// window/chunkElems are the resolved data-plane knobs (see
-	// ObjectConfig.XferWindow / XferChunkBytes); with autoTune on,
-	// sendBlocks re-resolves them from the shared tuner per transfer.
-	// peer advertises window-put capable ports (every multi-port
-	// object, unless routedOnly).
-	window     int
-	chunkElems int
-	peer       bool
-	autoTune   bool
+	// xfer is the resolved out-transfer policy; peer advertises
+	// window-put capable ports (every multi-port object, unless
+	// routedOnly).
+	xfer xferPolicy
+	peer bool
 
 	// rankLag is this rank's interned post-invocation barrier
 	// histogram (rank is fixed for the object's lifetime).
@@ -211,11 +191,9 @@ func Export(cfg ObjectConfig) (*Object, error) {
 		rank:   th.Rank(),
 		size:   th.Size(),
 		closed: make(chan struct{}),
+		xfer:   newXferPolicy(cfg.Transfer),
+		peer:   cfg.MultiPort && !cfg.routedOnly,
 	}
-	o.window = resolveWindow(cfg.XferWindow)
-	o.chunkElems = resolveChunkElems(cfg.XferChunkBytes)
-	o.peer = cfg.MultiPort && !cfg.routedOnly
-	o.autoTune = resolveAutoTune(cfg.AutoTune)
 	if cfg.LeaseTTL >= 0 {
 		ttl := cfg.LeaseTTL
 		if ttl == 0 {
@@ -242,22 +220,7 @@ func Export(cfg ObjectConfig) (*Object, error) {
 			myEndpoint = ep
 		}
 	}
-	var outOpts []orb.ClientOption
-	if cfg.Stripes > 0 {
-		outOpts = append(outOpts, orb.WithStripes(cfg.Stripes))
-	} else if o.autoTune {
-		// Tuner-capped lazy stripe growth toward each client endpoint:
-		// the out-client may open connections past the static width, up
-		// to the tuner's recommendation for that destination, still only
-		// under observed queueing.
-		outOpts = append(outOpts, orb.WithStripeCap(func(ep string) int {
-			if rec, ok := AutoTuner.Recommend(ep); ok {
-				return rec.Stripes
-			}
-			return 0
-		}))
-	}
-	o.out = orb.NewClient(reg, outOpts...)
+	o.out = orb.NewClient(reg, o.xfer.clientOptions("")...)
 
 	// Collective verdict on the listen phase: if any thread failed to
 	// open its port, every thread learns which one and returns a
@@ -647,6 +610,16 @@ func (o *Object) communicatorServeOne(ctx context.Context) error {
 				fmt.Sprintf("arg %d inline data %d of %d elements", i, len(a.Data), a.Length))
 			return nil
 		}
+		// Likewise multi-port out-blocks need one receive endpoint per
+		// client rank: a short list cannot be served, and guessing a
+		// port would land a rank's blocks in another rank's windows.
+		if w.Method == MultiPort && (a.Mode == Out || a.Mode == InOut) &&
+			len(a.ClientEndpoints) != len(a.ClientCounts) {
+			_ = in.ReplySystemException("BAD_PARAM",
+				fmt.Sprintf("arg %d names %d client endpoints for %d ranks",
+					i, len(a.ClientEndpoints), len(a.ClientCounts)))
+			return nil
+		}
 	}
 	if w.Method == MultiPort && !o.cfg.MultiPort {
 		_ = in.ReplySystemException("BAD_PARAM", "object does not export multi-port endpoints")
@@ -968,34 +941,13 @@ func (o *Object) sendBlocks(inv uint64, argIdx uint32, plan []dist.Transfer, seq
 	if len(dist.PlanFor(plan, o.rank)) == 0 {
 		return nil
 	}
-	if len(endpoints) == 0 {
-		return fmt.Errorf("%w: client sent no endpoints for multi-port out transfer", ErrBadCall)
-	}
-	endpointFor := func(to int) string {
-		if to < len(endpoints) {
-			return endpoints[to]
-		}
-		return endpoints[0]
-	}
-	window, chunkElems := o.window, o.chunkElems
-	pathKey := ""
-	if o.autoTune {
-		// Keyed by the client's first receive endpoint: its threads are
-		// assumed co-located, so one path model covers the fan-out.
-		pathKey = endpoints[0]
-		window, chunkElems = tunedKnobs(pathKey, window, chunkElems)
-	}
-	send, err := chunksFor(o.out, peer, inv, argIdx, o.rank, endpointFor)
+	// The communicator refused a request whose endpoint list does not
+	// name every client rank, so each planned destination has one.
+	send, err := chunksFor(o.out, peer, inv, argIdx, o.rank, func(to int) string { return endpoints[to] })
 	if err != nil {
 		return err
 	}
-	t := time.Now()
-	n, err := sendPlan(o.rank, plan, seq.LocalData(), window, chunkElems, send)
-	elapsed := time.Since(t)
-	o.xferOut.ObserveDuration(elapsed)
-	if o.autoTune && err == nil {
-		AutoTuner.Record(pathKey, n, elapsed)
-	}
+	_, err = o.xfer.ship(endpoints[0], o.xferOut, o.rank, plan, seq.LocalData(), send)
 	return err
 }
 

@@ -3,9 +3,12 @@ package spmd
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"pardis/internal/mp"
+	"pardis/internal/orb"
 	"pardis/internal/rts"
 )
 
@@ -16,7 +19,7 @@ import (
 func TestAutoTuneEndToEnd(t *testing.T) {
 	reg := newReg()
 	obj := startObjectCfg(t, reg, 3, true, diffusionOps, func(cfg *ObjectConfig) {
-		cfg.AutoTune = 1
+		cfg.Transfer.AutoTune = true
 	})
 	defer obj.close()
 	err := mp.Run(2, func(proc *mp.Proc) error {
@@ -24,13 +27,13 @@ func TestAutoTuneEndToEnd(t *testing.T) {
 		b, err := Bind(context.Background(), BindConfig{
 			Thread: th, Registry: reg, Method: MultiPort,
 			ListenEndpoint: "inproc:*",
-			AutoTune:       1,
+			Transfer:       Transfer{AutoTune: true},
 		}, obj.ref)
 		if err != nil {
 			return err
 		}
 		defer b.Close()
-		if !b.autoTune {
+		if !b.xfer.autoTune {
 			return fmt.Errorf("rank %d: binding did not resolve AutoTune on", th.Rank())
 		}
 		// Enough invocations (and bytes) for the tuner to pass its
@@ -65,16 +68,47 @@ func TestAutoTuneEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAutoTuneOffByDefault: with the knob at its zero value and the
-// package default off, a binding must not touch the tuner.
-func TestAutoTuneOffByDefault(t *testing.T) {
-	if resolveAutoTune(0) != DefaultAutoTune {
-		t.Fatal("resolveAutoTune(0) does not follow DefaultAutoTune")
+// TestZeroTransferIsStatic: the zero Transfer resolves to the static
+// defaults (window orb.DefaultStripeWidth(), 256 KiB chunks, tuning
+// off), and a zero-valued multi-port bind and export running an inout
+// call never touch the shared tuner — no path appears for the object's
+// or the client's endpoints. TCP loopback endpoints keep the check
+// clear of inproc names other tests' tuned runs may have used.
+func TestZeroTransferIsStatic(t *testing.T) {
+	r := Transfer{}.Resolve()
+	if r.Window != orb.DefaultStripeWidth() || r.ChunkBytes != 256<<10 || r.AutoTune {
+		t.Fatalf("zero Transfer resolves to %+v, want window %d, %d-byte chunks, tuning off",
+			r, orb.DefaultStripeWidth(), 256<<10)
 	}
-	if resolveAutoTune(-1) {
-		t.Fatal("resolveAutoTune(-1) must force tuning off")
+
+	reg := newReg()
+	obj := startObjectCfg(t, reg, 3, true, diffusionOps, func(cfg *ObjectConfig) {
+		cfg.ListenEndpoint = "tcp:127.0.0.1:0"
+	})
+	defer obj.close()
+	eps := append([]string(nil), obj.ref.Endpoints...)
+	var mu sync.Mutex
+	err := mp.Run(2, func(proc *mp.Proc) error {
+		th := rts.NewMessagePassing(proc)
+		b, err := Bind(context.Background(), BindConfig{
+			Thread: th, Registry: reg, Method: MultiPort,
+			ListenEndpoint: "tcp:127.0.0.1:0",
+		}, obj.ref)
+		if err != nil {
+			return err
+		}
+		defer b.Close()
+		mu.Lock()
+		eps = append(eps, b.recvEP)
+		mu.Unlock()
+		return invokeDiffusion(b, th, 40000, 1)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !resolveAutoTune(1) {
-		t.Fatal("resolveAutoTune(1) must force tuning on")
+	for _, st := range AutoTuner.Snapshot() {
+		if slices.Contains(eps, st.Endpoint) {
+			t.Errorf("untuned transfer created tuner path %+v", st)
+		}
 	}
 }

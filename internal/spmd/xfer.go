@@ -24,9 +24,9 @@
 package spmd
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pardis/internal/cdr"
 	"pardis/internal/dist"
@@ -36,86 +36,120 @@ import (
 	"pardis/internal/tune"
 )
 
-// Package-wide data-plane defaults, overridable per binding/object via
-// BindConfig/ObjectConfig and process-wide via the -xfer-window /
-// -xfer-chunk flags of pardisd and pardis-bench.
-var (
-	// DefaultXferWindow is the default bound on concurrently in-flight
-	// block sends per transfer (0 = min(4, GOMAXPROCS)).
-	DefaultXferWindow = 0
-	// DefaultXferChunkBytes is the default payload-size threshold above
-	// which a block is split into pipelined chunks (<0 disables
-	// chunking). 256 KiB keeps chunks inside the pooled-encoder
-	// retention cap.
-	DefaultXferChunkBytes = 256 << 10
-	// DefaultAutoTune resolves the per-endpoint self-tuning transport
-	// (AutoTune knobs on BindConfig/ObjectConfig; the pardisd and
-	// pardis-bench -auto-tune flags flip it process-wide). Off by
-	// default: tuning changes knobs between transfers, which A/B
-	// benchmarks and wire-identical tests must be able to rely on not
-	// happening.
-	DefaultAutoTune = false
-)
+// Transfer is the multi-port data plane's transfer policy, carried by
+// BindConfig (in-argument sends) and ObjectConfig (out-argument
+// sends). The zero value is the static default: a window of
+// orb.DefaultStripeWidth() sends, 256 KiB chunks, the ORB's default
+// stripes, and no tuning.
+type Transfer struct {
+	// Window bounds how many block sends a thread keeps in flight per
+	// transfer (0 = orb.DefaultStripeWidth(); 1 or negative = serial).
+	Window int
+	// ChunkBytes is the payload size above which a block is split into
+	// pipelined chunks (0 = 256 KiB, negative = chunking disabled).
+	ChunkBytes int
+	// Stripes caps how many connections the thread's ORB client may
+	// open per endpoint (<= 0 = orb.DefaultStripeWidth()). An explicit
+	// pin wins over the tuner's stripe recommendation.
+	Stripes int
+	// AutoTune enables the self-tuning transport: every transfer's
+	// bytes/seconds feed the process-wide tuner (AutoTuner), which
+	// re-resolves the chunk, window and stripe knobs before each
+	// transfer once the path has enough samples; until then the static
+	// values apply. A binding keys its path by the reference's first
+	// endpoint and probes its RTT at bind time; an object keys it by
+	// the invoking client's first receive endpoint. All threads of a
+	// binding or object must pass the same value.
+	AutoTune bool
+}
+
+// defaultChunkBytes is the static chunk threshold: it keeps chunks
+// inside the pooled-encoder retention cap.
+const defaultChunkBytes = 256 << 10
+
+// Resolve returns t with its defaults filled in: Window >= 1,
+// ChunkBytes > 0 (or negative when chunking is disabled) and
+// Stripes >= 1.
+func (t Transfer) Resolve() Transfer {
+	if t.Window == 0 {
+		t.Window = orb.DefaultStripeWidth()
+	}
+	t.Window = max(t.Window, 1)
+	if t.ChunkBytes == 0 {
+		t.ChunkBytes = defaultChunkBytes
+	}
+	if t.Stripes <= 0 {
+		t.Stripes = orb.DefaultStripeWidth()
+	}
+	return t
+}
 
 // AutoTuner is the process-wide path estimator self-tuning bindings
-// and objects share: transfer engines feed it per-transfer
-// bytes/seconds (plus the bind-time RTT probe) and re-resolve their
-// chunk, window and stripe knobs from it before every transfer.
-// Sharing one tuner means every binding to the same endpoint benefits
-// from every other binding's samples.
+// and objects share. Sharing one tuner means every binding to the same
+// endpoint benefits from every other binding's samples.
 var AutoTuner = tune.New(tune.Config{})
 
-// resolveAutoTune maps an AutoTune knob to the effective wish:
-// 0 = package default, negative = off.
-func resolveAutoTune(v int) bool {
-	if v == 0 {
-		return DefaultAutoTune
-	}
-	return v > 0
+// xferPolicy is a resolved Transfer: the engine both sides' sendBlocks
+// run.
+type xferPolicy struct {
+	window     int
+	chunkElems int // per-chunk float64 cap, 0 = chunking disabled
+	stripes    int // explicit pin, 0 = ORB default
+	autoTune   bool
 }
 
-// ResolvedXferWindow reports the effective process-wide default
-// transfer window (what a zero XferWindow config resolves to).
-func ResolvedXferWindow() int { return resolveWindow(0) }
-
-// ResolvedXferChunkBytes reports the effective process-wide default
-// chunk threshold in bytes (0 when chunking is disabled).
-func ResolvedXferChunkBytes() int { return resolveChunkElems(0) * 8 }
-
-// tunedKnobs re-resolves (window, chunkElems) from the shared tuner
-// for one transfer, falling back to the statically resolved values
-// until the path has enough samples.
-func tunedKnobs(pathKey string, window, chunkElems int) (int, int) {
-	rec, ok := AutoTuner.Recommend(pathKey)
-	if !ok {
-		return window, chunkElems
+func newXferPolicy(t Transfer) xferPolicy {
+	r := t.Resolve()
+	p := xferPolicy{window: r.Window, stripes: max(t.Stripes, 0), autoTune: t.AutoTune}
+	if r.ChunkBytes > 0 {
+		p.chunkElems = max(r.ChunkBytes/8, 1)
 	}
-	return rec.XferWindow, max(rec.XferChunkBytes/8, 1)
+	return p
 }
 
-// resolveWindow maps a config value to an effective send window:
-// 0 = package default, negative = serial (window 1).
-func resolveWindow(w int) int {
-	if w == 0 {
-		w = DefaultXferWindow
+// clientOptions returns the ORB client options that carry the policy's
+// stripes: the explicit pin, or with tuning on a dynamic cap that lets
+// the client grow past the static width, still lazily, up to the
+// tuner's stripe recommendation for pathKey ("" = for each destination
+// endpoint's own path).
+func (p xferPolicy) clientOptions(pathKey string) []orb.ClientOption {
+	if p.stripes > 0 {
+		return []orb.ClientOption{orb.WithStripes(p.stripes)}
 	}
-	if w == 0 {
-		w = min(4, runtime.GOMAXPROCS(0))
+	if !p.autoTune {
+		return nil
 	}
-	return max(w, 1)
-}
-
-// resolveChunkElems maps a config byte threshold to a per-chunk
-// element cap for float64 payloads: 0 = package default, negative =
-// chunking disabled.
-func resolveChunkElems(bytes int) int {
-	if bytes == 0 {
-		bytes = DefaultXferChunkBytes
-	}
-	if bytes < 0 {
+	return []orb.ClientOption{orb.WithStripeCap(func(ep string) int {
+		if pathKey != "" {
+			ep = pathKey
+		}
+		if rec, ok := AutoTuner.Recommend(ep); ok {
+			return rec.Stripes
+		}
 		return 0
+	})}
+}
+
+// ship sends rank's share of plan through send (see sendPlan) and
+// times it into hist. With tuning on, the window and chunk come from
+// the tuner's recommendation for pathKey once it has one, and a
+// successful transfer's rate is recorded against pathKey. It returns
+// the payload bytes shipped.
+func (p xferPolicy) ship(pathKey string, hist *telemetry.Histogram, rank int, plan []dist.Transfer, local []float64, send chunkSender) (uint64, error) {
+	window, chunkElems := p.window, p.chunkElems
+	if p.autoTune {
+		if rec, ok := AutoTuner.Recommend(pathKey); ok {
+			window, chunkElems = rec.XferWindow, max(rec.XferChunkBytes/8, 1)
+		}
 	}
-	return max(bytes/8, 1)
+	t := time.Now()
+	n, err := sendPlan(rank, plan, local, window, chunkElems, send)
+	elapsed := time.Since(t)
+	hist.ObserveDuration(elapsed)
+	if p.autoTune && err == nil {
+		AutoTuner.Record(pathKey, n, elapsed)
+	}
+	return n, err
 }
 
 // Interned once: the data-plane counters are touched per chunk.

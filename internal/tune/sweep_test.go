@@ -9,9 +9,10 @@ import (
 	"pardis/internal/telemetry"
 )
 
-// staticKnobs is the data plane's static default configuration
-// (spmd.DefaultXferChunkBytes, min(4, GOMAXPROCS) window and stripes),
-// pinned so the sweep is machine-independent.
+// staticKnobs is the data plane's static default configuration (the
+// zero spmd.Transfer: 256 KiB chunks, orb.DefaultStripeWidth() window
+// and stripes), pinned at a 4-way host's values so the sweep is
+// machine-independent.
 var staticKnobs = Recommendation{XferChunkBytes: 256 << 10, XferWindow: 4, Stripes: 4}
 
 // TestFigure4SweepTunedDominatesStatic runs the Figure-4 length sweep
@@ -50,7 +51,7 @@ func convergeOnPath(t *testing.T, path simnet.Path, bytes int) Recommendation {
 	t.Helper()
 	now := time.Unix(2000, 0)
 	tu := New(Config{
-		ParallelFloor: staticKnobs.XferWindow,
+		parallelFloor: staticKnobs.XferWindow,
 		Now:           func() time.Time { return now },
 		Registry:      telemetry.NewRegistry(),
 	})

@@ -16,16 +16,16 @@
 //     onto one connection's write lock.
 //
 // Every recommendation floors at the static defaults (256 KiB chunks,
-// min(4, GOMAXPROCS) window/stripes), so a cold or badly-sampled path
+// orb.DefaultStripeWidth() window/stripes), so a cold or badly-sampled path
 // is never tuned below the configuration it would have had with tuning
 // off — tuned match-or-dominates static by construction, and the
 // Figure-4 sweep test in sweep_test.go checks it against an
 // independent simnet path model.
 //
 // Hysteresis: a recommendation is re-derived only when the model has
-// drifted beyond Config.Hysteresis from the values that produced it,
+// drifted beyond DefaultHysteresis from the values that produced it,
 // so noisy per-transfer samples do not flap the knobs between
-// transfers. Idle paths re-seed: after Config.IdleReset without a
+// transfers. Idle paths re-seed: after DefaultIdleReset without a
 // sample, the next sample replaces the EWMA instead of being averaged
 // into stale history.
 package tune
@@ -37,23 +37,34 @@ import (
 	"sync"
 	"time"
 
+	"pardis/internal/orb"
 	"pardis/internal/telemetry"
 )
 
-// Defaults for Config zero values.
+// The model's constants.
 const (
-	DefaultAlpha      = 0.3
+	// DefaultAlpha is the EWMA weight of a new sample.
+	DefaultAlpha = 0.3
+	// DefaultHysteresis is the fractional model drift (bandwidth or
+	// RTT) required before a recommendation is re-derived.
 	DefaultHysteresis = 0.25
+	// DefaultMinSamples is how many transfer samples a path needs
+	// before the tuner recommends anything (callers fall back to their
+	// static configuration until then).
 	DefaultMinSamples = 3
-	DefaultIdleReset  = 30 * time.Second
+	// DefaultIdleReset is the sample gap after which the EWMA re-seeds
+	// from the next sample instead of averaging into stale history.
+	DefaultIdleReset = 30 * time.Second
 	// DefaultMinChunkBytes is the static data-plane default: tuning
 	// never shrinks chunks below it.
 	DefaultMinChunkBytes = 256 << 10
 	// DefaultMaxChunkBytes is the pooled-encoder retention cap: chunks
 	// above it would defeat encoder pooling on the routed path.
 	DefaultMaxChunkBytes = 1 << 20
-	DefaultMaxWindow     = 32
-	DefaultMaxStripes    = 8
+	// DefaultMaxWindow / DefaultMaxStripes bound the window and stripe
+	// recommendations.
+	DefaultMaxWindow  = 32
+	DefaultMaxStripes = 8
 	// DefaultRTT stands in for the round-trip time of a path that was
 	// never probed (e.g. the server side of a binding, which only sees
 	// transfer samples).
@@ -76,69 +87,29 @@ const (
 	poolSampleInterval = 100 * time.Millisecond
 )
 
-// Config tunes the tuner. The zero value uses the defaults above.
+// Config carries the tuner's environment. The zero value is the
+// process's own: the wall clock and telemetry.Default.
 type Config struct {
-	// Alpha is the EWMA weight of a new sample in (0, 1].
-	Alpha float64
-	// Hysteresis is the fractional model drift (bandwidth or RTT)
-	// required before a recommendation is re-derived.
-	Hysteresis float64
-	// MinSamples is how many transfer samples a path needs before the
-	// tuner recommends anything (callers fall back to the static
-	// defaults until then).
-	MinSamples int
-	// IdleReset is the sample gap after which the EWMA re-seeds from
-	// the next sample instead of averaging into stale history.
-	IdleReset time.Duration
-	// MinChunkBytes / MaxChunkBytes bound the chunk recommendation.
-	MinChunkBytes, MaxChunkBytes int
-	// MaxWindow / MaxStripes bound the window and stripe
-	// recommendations.
-	MaxWindow, MaxStripes int
-	// ParallelFloor is the window floor (0 = min(8, GOMAXPROCS)): on
-	// short-RTT paths the BDP term vanishes, but concurrent chunk
-	// sends still win CPU parallelism, so the window never drops below
-	// this (which itself never drops below the static default).
-	ParallelFloor int
 	// Now is the clock (nil = time.Now); injectable for tests.
 	Now func() time.Time
 	// Registry is the telemetry registry consulted for the pool
 	// hit-rate signal and written with pardis_tune_* instruments
 	// (nil = telemetry.Default).
 	Registry *telemetry.Registry
+
+	// parallelFloor is the window floor (0 = min(8, GOMAXPROCS)): on
+	// short-RTT paths the BDP term vanishes, but concurrent chunk
+	// sends still win CPU parallelism, so the window never drops below
+	// this. It is raised to the static width, orb.DefaultStripeWidth(),
+	// so tuning never configures below the untuned data plane.
+	parallelFloor int
 }
 
 func (c Config) withDefaults() Config {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = DefaultAlpha
+	if c.parallelFloor <= 0 {
+		c.parallelFloor = min(8, runtime.GOMAXPROCS(0))
 	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = DefaultHysteresis
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = DefaultMinSamples
-	}
-	if c.IdleReset <= 0 {
-		c.IdleReset = DefaultIdleReset
-	}
-	if c.MinChunkBytes <= 0 {
-		c.MinChunkBytes = DefaultMinChunkBytes
-	}
-	if c.MaxChunkBytes <= 0 {
-		c.MaxChunkBytes = DefaultMaxChunkBytes
-	}
-	if c.MaxChunkBytes < c.MinChunkBytes {
-		c.MaxChunkBytes = c.MinChunkBytes
-	}
-	if c.MaxWindow <= 0 {
-		c.MaxWindow = DefaultMaxWindow
-	}
-	if c.MaxStripes <= 0 {
-		c.MaxStripes = DefaultMaxStripes
-	}
-	if c.ParallelFloor <= 0 {
-		c.ParallelFloor = min(8, runtime.GOMAXPROCS(0))
-	}
+	c.parallelFloor = max(c.parallelFloor, orb.DefaultStripeWidth())
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -148,11 +119,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// staticWindow is the data plane's static default window/stripe width
-// (mirrors spmd.resolveWindow(0) and orb.DefaultStripeWidth without
-// importing either package).
-func staticWindow() int { return max(min(4, runtime.GOMAXPROCS(0)), 1) }
-
 // Recommendation is one path's derived data-plane configuration.
 type Recommendation struct {
 	XferChunkBytes int `json:"xfer_chunk_bytes"`
@@ -160,8 +126,8 @@ type Recommendation struct {
 	Stripes        int `json:"stripes"`
 }
 
-// PathState is an observable snapshot of one path's model, served by
-// pardisd /healthz under -auto-tune.
+// PathState is an observable snapshot of one path's model, reported by
+// pardis-bench -dataplane after a tuned pass.
 type PathState struct {
 	Endpoint     string         `json:"endpoint"`
 	BandwidthBps float64        `json:"bandwidth_bytes_per_sec"`
@@ -252,7 +218,7 @@ func (t *Tuner) Probe(endpoint string, rtt time.Duration) {
 	if p.rtt == 0 {
 		p.rtt = s
 	} else {
-		p.rtt += t.cfg.Alpha * (s - p.rtt)
+		p.rtt += DefaultAlpha * (s - p.rtt)
 	}
 	p.rttHist.Observe(s)
 	t.deriveLocked(p)
@@ -280,13 +246,13 @@ func (t *Tuner) Record(endpoint string, bytes uint64, elapsed time.Duration) {
 	defer t.mu.Unlock()
 	p := t.pathLocked(endpoint)
 	sample := float64(bytes) / sampleSeconds(elapsed.Seconds(), p.rtt)
-	if p.bw == 0 || (!p.last.IsZero() && now.Sub(p.last) > t.cfg.IdleReset) {
+	if p.bw == 0 || (!p.last.IsZero() && now.Sub(p.last) > DefaultIdleReset) {
 		// First sample, or the path sat idle past the reset window:
 		// seed rather than average — the old estimate describes a
 		// network state that may no longer exist.
 		p.bw = sample
 	} else {
-		p.bw += t.cfg.Alpha * (sample - p.bw)
+		p.bw += DefaultAlpha * (sample - p.bw)
 	}
 	p.last = now
 	p.samples++
@@ -319,7 +285,7 @@ func (t *Tuner) poolSampleLocked(p *path, now time.Time) {
 		return
 	}
 	hit := 1 - float64(dm)/float64(dg)
-	p.poolHit += t.cfg.Alpha * (hit - p.poolHit)
+	p.poolHit += DefaultAlpha * (hit - p.poolHit)
 }
 
 // delta is cur-prev clamped at zero: a cumulative counter that moved
@@ -335,7 +301,7 @@ func delta(cur, prev uint64) uint64 {
 // deriveLocked re-derives the cached recommendation if the model has
 // drifted past the hysteresis band (or none exists yet).
 func (t *Tuner) deriveLocked(p *path) {
-	if p.samples < uint64(t.cfg.MinSamples) || p.bw <= 0 {
+	if p.samples < DefaultMinSamples || p.bw <= 0 {
 		return
 	}
 	rtt := p.rtt
@@ -343,8 +309,8 @@ func (t *Tuner) deriveLocked(p *path) {
 		rtt = DefaultRTT.Seconds()
 	}
 	lowPool := p.poolHit < 0.5
-	if p.ready && !drifted(p.bw, p.recBW, t.cfg.Hysteresis) &&
-		!drifted(rtt, p.recRTT, t.cfg.Hysteresis) && lowPool == p.recLowPool {
+	if p.ready && !drifted(p.bw, p.recBW, DefaultHysteresis) &&
+		!drifted(rtt, p.recRTT, DefaultHysteresis) && lowPool == p.recLowPool {
 		return
 	}
 	rec := t.derive(p.bw, rtt, p.poolHit)
@@ -380,8 +346,8 @@ func (t *Tuner) derive(bw, rtt, poolHit float64) Recommendation {
 	// rate AND to cover a useful fraction of the BDP, power-of-two for
 	// stability, bounded by the static floor and the retention cap.
 	chunk := pow2Ceil(int(math.Max(bw*chunkAmortSeconds, bdp/4)))
-	chunk = clamp(chunk, t.cfg.MinChunkBytes, t.cfg.MaxChunkBytes)
-	if poolHit < 0.5 && chunk > t.cfg.MinChunkBytes {
+	chunk = min(max(chunk, DefaultMinChunkBytes), DefaultMaxChunkBytes)
+	if poolHit < 0.5 && chunk > DefaultMinChunkBytes {
 		// Retention misses: the encode path is allocating, not
 		// pooling — trade a step of chunk size back for pool hits.
 		chunk /= 2
@@ -389,22 +355,22 @@ func (t *Tuner) derive(bw, rtt, poolHit float64) Recommendation {
 
 	// Window: enough in-flight chunks to cover the BDP with headroom
 	// (+1 so the pipe refills while an ack is in flight), floored at
-	// the parallelism the static default would have given.
+	// the parallelism floor, itself at least the static width.
 	bdpWindow := int(math.Ceil(WindowHeadroom*bdp/float64(chunk))) + 1
-	window := clamp(max(bdpWindow, max(t.cfg.ParallelFloor, staticWindow())),
-		1, t.cfg.MaxWindow)
+	window := min(max(bdpWindow, t.cfg.parallelFloor), DefaultMaxWindow)
 
 	// Stripes: follow window depth so concurrent chunk sends do not
-	// serialize on one connection, never below the static width.
-	stripes := clamp(max(staticWindow(), min(window, t.cfg.MaxStripes)),
-		1, t.cfg.MaxStripes)
+	// serialize on one connection — never below the static width,
+	// since the window is not and the width (at most 4) is below the
+	// stripe cap.
+	stripes := min(window, DefaultMaxStripes)
 
 	return Recommendation{XferChunkBytes: chunk, XferWindow: window, Stripes: stripes}
 }
 
 // Recommend returns endpoint's current recommendation. ok is false
-// until the path has MinSamples transfer samples; callers fall back
-// to their static configuration.
+// until the path has DefaultMinSamples transfer samples; callers fall
+// back to their static configuration.
 func (t *Tuner) Recommend(endpoint string) (Recommendation, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -443,14 +409,4 @@ func pow2Ceil(n int) int {
 		p <<= 1
 	}
 	return p
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -24,7 +24,7 @@ func testTuner(t *testing.T, cfg Config) (*Tuner, *time.Time, *telemetry.Registr
 // must converge the bandwidth estimate to the true rate, and the
 // recommendation must hit the BDP-derived fixed point.
 func TestEWMAConvergence(t *testing.T) {
-	tu, now, _ := testTuner(t, Config{ParallelFloor: 4})
+	tu, now, _ := testTuner(t, Config{parallelFloor: 4})
 	ep := "tcp:10.0.0.1:9100"
 	const bw = 125e6 // 1 Gb/s
 	const rtt = 40 * time.Millisecond
@@ -72,7 +72,7 @@ func TestEWMAConvergence(t *testing.T) {
 // TestRecommendationFloorsAtStatic: a slow short path must still get
 // at least the static defaults — tuning never configures below them.
 func TestRecommendationFloorsAtStatic(t *testing.T) {
-	tu, now, _ := testTuner(t, Config{ParallelFloor: 4})
+	tu, now, _ := testTuner(t, Config{parallelFloor: 4})
 	ep := "inproc:a"
 	tu.Probe(ep, 100*time.Microsecond)
 	for i := 0; i < 5; i++ {
@@ -98,7 +98,7 @@ func TestRecommendationFloorsAtStatic(t *testing.T) {
 // must never change the recommendation, and the update counter must
 // record exactly the initial derivation.
 func TestHysteresisNoFlap(t *testing.T) {
-	tu, now, reg := testTuner(t, Config{ParallelFloor: 4, Hysteresis: 0.25})
+	tu, now, reg := testTuner(t, Config{parallelFloor: 4})
 	ep := "tcp:10.0.0.2:9100"
 	tu.Probe(ep, 10*time.Millisecond)
 	const bw = 500e6
@@ -134,7 +134,7 @@ func TestHysteresisNoFlap(t *testing.T) {
 // TestHysteresisTracksRealShift: a genuine order-of-magnitude path
 // change must push through the hysteresis band and re-derive.
 func TestHysteresisTracksRealShift(t *testing.T) {
-	tu, now, _ := testTuner(t, Config{ParallelFloor: 4})
+	tu, now, _ := testTuner(t, Config{parallelFloor: 4})
 	ep := "tcp:10.0.0.3:9100"
 	tu.Probe(ep, 40*time.Millisecond)
 	for i := 0; i < 10; i++ {
@@ -155,10 +155,10 @@ func TestHysteresisTracksRealShift(t *testing.T) {
 	}
 }
 
-// TestIdleReset: after an idle gap longer than IdleReset the next
+// TestIdleReset: after an idle gap longer than DefaultIdleReset the next
 // sample must replace the estimate instead of averaging into it.
 func TestIdleReset(t *testing.T) {
-	tu, now, _ := testTuner(t, Config{ParallelFloor: 4, IdleReset: 10 * time.Second})
+	tu, now, _ := testTuner(t, Config{parallelFloor: 4})
 	ep := "tcp:10.0.0.4:9100"
 	for i := 0; i < 5; i++ {
 		*now = now.Add(time.Second)
@@ -176,7 +176,7 @@ func TestIdleReset(t *testing.T) {
 // process counters; a counter that moves backwards (registry reset)
 // must clamp to a zero delta, not underflow or poison the model.
 func TestPoolCounterReset(t *testing.T) {
-	tu, now, reg := testTuner(t, Config{ParallelFloor: 4})
+	tu, now, reg := testTuner(t, Config{parallelFloor: 4})
 	ep := "tcp:10.0.0.5:9100"
 	gets := reg.Counter("pardis_giop_pool_gets_total", "pool", "enc")
 	misses := reg.Counter("pardis_giop_pool_misses_total", "pool", "enc")
@@ -211,7 +211,7 @@ func TestPoolCounterReset(t *testing.T) {
 // TestPoolBackoff: a sustained low pool hit rate with the chunk at its
 // cap must back the chunk off one step.
 func TestPoolBackoff(t *testing.T) {
-	tu, now, reg := testTuner(t, Config{ParallelFloor: 4})
+	tu, now, reg := testTuner(t, Config{parallelFloor: 4})
 	ep := "tcp:10.0.0.6:9100"
 	tu.Probe(ep, 40*time.Millisecond)
 	gets := reg.Counter("pardis_giop_pool_gets_total", "pool", "enc")
@@ -237,7 +237,7 @@ func TestPoolBackoff(t *testing.T) {
 // TestRecordIgnoresDegenerateSamples: zero bytes or non-positive
 // durations must not corrupt the estimate.
 func TestRecordIgnoresDegenerateSamples(t *testing.T) {
-	tu, now, _ := testTuner(t, Config{ParallelFloor: 4})
+	tu, now, _ := testTuner(t, Config{parallelFloor: 4})
 	ep := "tcp:10.0.0.7:9100"
 	tu.Record(ep, 0, time.Second)
 	tu.Record(ep, 1<<20, 0)
